@@ -108,7 +108,7 @@ def _cmd_synth(args) -> int:
         m, _, n = args.cliques.partition("x")
         graph = inject_cliques(graph, int(m), int(n), derive_seed(seed, "inject-cliques"))
     lines = [f"# nodes {graph.num_nodes}"]
-    lines += [f"{u} {v}" for u, v in sorted(graph.edges)]
+    lines += map(" ".join, graph.edge_array().astype(str).tolist())
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

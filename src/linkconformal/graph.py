@@ -1,15 +1,17 @@
 """Undirected simple graphs: construction, I/O, splitting, and synthesis.
 
-Node ids are integers in [0, num_nodes). Edges are unordered pairs stored
-as (min, max) tuples; self-loops and duplicates are rejected or collapsed
-at construction, so every Graph in the package satisfies
-sum(degrees) == 2 * num_edges.
+Node ids are integers in [0, num_nodes). A graph holds its edges once, as
+a sorted, deduplicated, read-only (E, 2) int64 array of (min, max) rows;
+self-loops are rejected and duplicates collapsed at construction, so every
+Graph in the package satisfies sum(degrees) == 2 * num_edges. Labeled
+edge subsets are read-only (k, 3) int64 arrays of (u, v, label) rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,78 +31,121 @@ class LabeledEdge(NamedTuple):
     label: int  # 1 = positive link, 0 = non-existent link
 
 
-@dataclass(frozen=True)
+def as_edge_rows(edges, width: Optional[int] = None) -> np.ndarray:
+    """Edges as a (k, width) int64 array, from an array or any iterable of tuples.
+
+    Without ``width``, any row width of at least 2 is accepted. The input
+    array itself is returned when it already has the right dtype.
+    """
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    rows = np.asarray(edges, dtype=np.int64)
+    if rows.size == 0:
+        return np.empty((0, width or 2), dtype=np.int64)
+    if rows.ndim != 2 or (rows.shape[1] != width if width else rows.shape[1] < 2):
+        raise ValueError(f"expected edge rows of width {width or '>= 2'}, got shape {rows.shape}")
+    return rows
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per (u, v, label) row with label 0 or 1.
+
+    Keys are distinct for distinct rows and increase in lexicographic row
+    order, so sorting keys sorts rows.
+    """
+    ends = rows[:, :2] - rows[:, :2].min(initial=0)
+    return (ends[:, 0] * (ends.max(initial=0) + 1) + ends[:, 1]) * 2 + rows[:, 2]
+
+
 class Graph:
-    """Immutable undirected simple graph with optional node features."""
+    """Immutable undirected simple graph with optional node features.
 
-    num_nodes: int
-    edges: frozenset = field(default_factory=frozenset)
-    features: Optional[np.ndarray] = None
+    ``edges`` may be an (E, 2) array or any iterable of node pairs.
+    """
 
-    def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError(f"num_nodes must be positive, got {self.num_nodes}")
-        normalized = set()
-        for edge in self.edges:
-            u, v = int(edge[0]), int(edge[1])
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if u < 0 or v < 0:
-                raise ValueError(f"negative node index in edge ({u}, {v})")
-            if u >= self.num_nodes or v >= self.num_nodes:
-                raise ValueError(
-                    f"edge ({u}, {v}) references a node >= num_nodes={self.num_nodes}"
-                )
-            normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != self.num_nodes:
-                raise ValueError(
-                    f"features must be ({self.num_nodes}, d), got {feats.shape}"
-                )
-            feats = feats.copy()
-            feats.flags.writeable = False
-            object.__setattr__(self, "features", feats)
+    def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        pairs = np.sort(as_edge_rows(edges, 2), axis=1)
+        for bad, message in (
+            (pairs[:, 0] == pairs[:, 1], "self-loop at edge"),
+            (pairs[:, 0] < 0, "negative node index in edge"),
+            (pairs[:, 1] >= num_nodes, f"node >= num_nodes={num_nodes} in edge"),
+        ):
+            if bad.any():
+                raise ValueError(f"{message} {tuple(pairs[np.argmax(bad)].tolist())}")
+        keys = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        if features is not None:
+            feats = np.asarray(features, dtype=np.float64)
+            if feats.ndim != 2 or feats.shape[0] != num_nodes:
+                raise ValueError(f"features must be ({num_nodes}, d), got {feats.shape}")
+            features = _frozen(feats.copy())
+        self.__dict__.update(
+            num_nodes=num_nodes,
+            features=features,
+            _pairs=_frozen(np.column_stack(np.divmod(keys, num_nodes))),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._pairs)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of (min, max) tuples, built on first read."""
+        return frozenset(zip(*self._pairs.T.tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int64 array in lexicographic order."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
+        """Edges as a read-only (E, 2) int64 array in lexicographic order."""
+        return self._pairs
 
     def with_edges(self, edges) -> "Graph":
-        return Graph(self.num_nodes, frozenset(edges), self.features)
+        return Graph(self.num_nodes, edges, self.features)
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        return Graph(self.num_nodes, self.edges, features)
+        return Graph(self.num_nodes, self._pairs, features)
+
+
+_SUBSET_NAMES = ("train", "val", "calib", "test")
 
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """Labeled edges partitioned into train/val/calib/test subsets."""
+    """Labeled edges partitioned into train/val/calib/test subsets.
 
-    train: tuple
-    val: tuple
-    calib: tuple
-    test: tuple
+    Each subset is given as (k, 3) rows of (u, v, label) and stored as a
+    read-only int64 array in the given row order.
+    """
+
+    train: np.ndarray
+    val: np.ndarray
+    calib: np.ndarray
+    test: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for name in ("train", "val", "calib", "test"):
-            subset = tuple(LabeledEdge(int(e[0]), int(e[1]), int(e[2])) for e in getattr(self, name))
-            for e in subset:
-                if e.label not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {e.label}")
-                key = (min(e.u, e.v), max(e.u, e.v), e.label)
-                if key in seen:
-                    raise ValueError(f"duplicate labeled edge across subsets: {key}")
-                seen.add(key)
-            n_pos = sum(e.label for e in subset)
+        subsets = {name: _frozen(as_edge_rows(getattr(self, name), 3).copy()) for name in _SUBSET_NAMES}
+        rows = np.concatenate(list(subsets.values()))
+        bad = (rows[:, 2] != 0) & (rows[:, 2] != 1)
+        if bad.any():
+            raise ValueError(f"label must be 0 or 1, got {rows[np.argmax(bad), 2]}")
+        canonical = np.column_stack([np.sort(rows[:, :2], axis=1), rows[:, 2]])
+        keys = row_keys(canonical)
+        order = np.argsort(keys)
+        repeated = keys[order[1:]] == keys[order[:-1]]
+        if repeated.any():
+            key = tuple(canonical[order[np.argmax(repeated)]].tolist())
+            raise ValueError(f"duplicate labeled edge across subsets: {key}")
+        for name, subset in subsets.items():
+            n_pos = int(subset[:, 2].sum())
             if abs(2 * n_pos - len(subset)) > 1:
                 raise ValueError(
                     f"{name} subset is class-imbalanced: "
@@ -110,7 +155,7 @@ class EdgeSplit:
 
     @property
     def subsets(self):
-        return {"train": self.train, "val": self.val, "calib": self.calib, "test": self.test}
+        return {name: getattr(self, name) for name in _SUBSET_NAMES}
 
 
 def load_edge_list(text: str, num_nodes_hint: Optional[int] = None) -> Graph:
@@ -225,7 +270,7 @@ def negative_sample(graph: Graph, count: int, seed: int):
             f"requested {count} non-edges but only {capacity} exist"
         )
     if count == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     rng = derive_rng(seed, "negative-sample")
     if total <= _ENUMERATION_LIMIT:
         ranks = np.arange(total, dtype=np.int64)
@@ -236,26 +281,23 @@ def negative_sample(graph: Graph, count: int, seed: int):
             mask[occupied] = False
             ranks = ranks[mask]
         chosen = rng.choice(ranks, size=count, replace=False)
-        u, v = _pair_unrank(np.sort(chosen), n)
-        return [(int(a), int(b)) for a, b in zip(u, v)]
-    # Rejection sampling for very large graphs; terminates because
-    # count <= capacity and duplicates are filtered against a set.
-    forbidden = set(graph.edges)
-    result = set()
-    while len(result) < count:
-        batch = max(1024, 2 * (count - len(result)))
+        return np.column_stack(_pair_unrank(np.sort(chosen), n))
+    # Rejection sampling for very large graphs, on keys u * n + v: each
+    # batch accepts, in draw order, the first occurrence of every pair that
+    # is neither a self-loop, an edge nor already accepted, until ``count``
+    # are accepted. Terminates because count <= capacity.
+    edges = graph.edge_array()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    accepted = np.empty(0, dtype=np.int64)
+    while accepted.size < count:
+        batch = max(1024, 2 * (count - accepted.size))
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
-        for a, b in zip(us, vs):
-            if a == b:
-                continue
-            pair = (int(a), int(b)) if a < b else (int(b), int(a))
-            if pair in forbidden or pair in result:
-                continue
-            result.add(pair)
-            if len(result) == count:
-                break
-    return sorted(result)
+        keys = (np.minimum(us, vs) * n + np.maximum(us, vs))[us != vs]
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        keys = keys[~np.isin(keys, edge_keys) & ~np.isin(keys, accepted)]
+        accepted = np.concatenate([accepted, keys[: count - accepted.size]])
+    return np.column_stack(np.divmod(np.sort(accepted), n))
 
 
 def _quota_sizes(n: int, ratios) -> list:
@@ -283,43 +325,34 @@ def split_edges(positives, negatives, ratios, seed: int) -> EdgeSplit:
         raise ValueError(f"ratios must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
-    positives = [(min(int(u), int(v)), max(int(u), int(v))) for u, v in positives]
-    negatives = [(min(int(u), int(v)), max(int(u), int(v))) for u, v in negatives]
+    positives = np.sort(as_edge_rows(positives, 2), axis=1)
+    negatives = np.sort(as_edge_rows(negatives, 2), axis=1)
     if len(positives) != len(negatives):
         raise ValueError(
             f"positive/negative counts differ: {len(positives)} vs {len(negatives)}"
         )
     rng = derive_rng(seed, "split")
-    pos = [positives[i] for i in rng.permutation(len(positives))]
-    neg = [negatives[i] for i in rng.permutation(len(negatives))]
-    sizes = _quota_sizes(len(pos), ratios)
-    subsets = []
-    start = 0
-    for size in sizes:
-        chunk = [LabeledEdge(u, v, 1) for u, v in pos[start : start + size]]
-        chunk += [LabeledEdge(u, v, 0) for u, v in neg[start : start + size]]
-        subsets.append(tuple(chunk))
-        start += size
-    return EdgeSplit(*subsets)
+    pos, neg = (
+        np.column_stack([pairs[rng.permutation(len(pairs))], np.full(len(pairs), label)])
+        for pairs, label in ((positives, 1), (negatives, 0))
+    )
+    bounds = np.cumsum([0] + _quota_sizes(len(pos), ratios))
+    return EdgeSplit(*(np.concatenate([pos[a:b], neg[a:b]]) for a, b in zip(bounds[:-1], bounds[1:])))
 
 
 def training_subgraph(graph: Graph, split: EdgeSplit) -> Graph:
     """Graph over the same nodes containing only train+val positive edges."""
-    edges = {(e.u, e.v) for e in split.train + split.val if e.label == 1}
-    if not edges:
+    rows = np.concatenate([split.train, split.val])
+    edges = rows[rows[:, 2] == 1, :2]
+    if not len(edges):
         warnings.warn("training subgraph has no edges", stacklevel=2)
     return graph.with_edges(edges)
 
 
 def degree_sequence(graph: Graph, drop_isolated: bool = False) -> np.ndarray:
     """Per-node degrees as an int64 array; optionally without zero entries."""
-    degrees = np.zeros(graph.num_nodes, dtype=np.int64)
-    edge_arr = graph.edge_array()
-    if edge_arr.size:
-        degrees = np.bincount(edge_arr.ravel(), minlength=graph.num_nodes).astype(np.int64)
-    if drop_isolated:
-        degrees = degrees[degrees > 0]
-    return degrees
+    degrees = np.bincount(graph.edge_array().ravel(), minlength=graph.num_nodes)
+    return degrees[degrees > 0] if drop_isolated else degrees
 
 
 def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
@@ -338,12 +371,9 @@ def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
         return graph
     rng = derive_rng(seed, "cliques")
     iu, iv = np.triu_indices(m, k=1)
-    edges = set(graph.edges)
-    for _ in range(n):
-        members = rng.choice(graph.num_nodes, size=m, replace=False)
-        for a, b in zip(members[iu], members[iv]):
-            edges.add((int(a), int(b)) if a < b else (int(b), int(a)))
-    return graph.with_edges(edges)
+    members = np.array([rng.choice(graph.num_nodes, size=m, replace=False) for _ in range(n)])
+    cliques = np.column_stack([members[:, iu].ravel(), members[:, iv].ravel()])
+    return graph.with_edges(np.concatenate([graph.edge_array(), cliques]))
 
 
 def _powerlaw_degree_sample(num_nodes: int, beta: float, d_min: int, rng) -> np.ndarray:
@@ -381,10 +411,7 @@ def generate_powerlaw_graph(num_nodes: int, beta: float, d_min: int, seed: int) 
     half = stubs.size // 2
     us, vs = stubs[:half], stubs[half : 2 * half]
     keep = us != vs
-    lo = np.minimum(us[keep], vs[keep])
-    hi = np.maximum(us[keep], vs[keep])
-    edges = {(int(a), int(b)) for a, b in zip(lo, hi)}
-    return Graph(num_nodes, frozenset(edges))
+    return Graph(num_nodes, np.column_stack([us[keep], vs[keep]]))
 
 
 def generate_latent_powerlaw_graph(
@@ -424,7 +451,6 @@ def generate_latent_powerlaw_graph(
     target_edges = degrees.sum() / 2.0
     prob = np.minimum(weight * (target_edges / weight.sum()), 1.0)
     chosen = rng.random(prob.size) < prob
-    edges = {(int(a), int(b)) for a, b in zip(iu[chosen], iv[chosen])}
     # Raw (unnormalized) latents as features: unit-variance entries train
     # faster through the propagation layers than row-normalized ones.
-    return Graph(num_nodes, frozenset(edges), latent)
+    return Graph(num_nodes, np.column_stack([iu[chosen], iv[chosen]]), latent)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._nn import MomentumSGD, init_weight, max_relative_gradient_error, relu
-from .graph import Graph
+from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
 AGGREGATIONS = ("gcn-normalized", "mean-neighbor")
@@ -298,9 +298,8 @@ def _init_params(rng, feature_dim, config: ModelConfig) -> ModelParams:
 
 
 def _as_endpoint_arrays(edges):
-    endpoints = np.asarray([(e[0], e[1]) for e in edges], dtype=np.int64)
-    labels = np.asarray([e[2] for e in edges], dtype=np.float64)
-    return endpoints, labels
+    rows = as_edge_rows(edges, 3)
+    return rows[:, :2], rows[:, 2].astype(np.float64)
 
 
 def train_link_predictor(

@@ -15,7 +15,7 @@ from their own config echo.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,7 +125,7 @@ def load_graph(config: RunConfig) -> Graph:
 
 def edge_pool(graph: Graph, config: RunConfig):
     """Positive edges plus an equal number of sampled non-edges (fixed once)."""
-    positives = sorted(graph.edges)
+    positives = graph.edge_array()
     negatives = negative_sample(graph, len(positives), derive_seed(config.seed, "negatives"))
     return positives, negatives
 
@@ -142,7 +142,10 @@ def _graph_density(num_nodes: int, num_edges: int) -> float:
 
 
 class _TrialBase:
-    """Shared per-trial state: split, subgraph, trained model, embeddings."""
+    """Shared per-trial state: split, subgraph, trained model, embeddings.
+
+    The test edges are embedded once; every calibration arm scores them.
+    """
 
     def __init__(self, graph, positives, negatives, config: RunConfig, split_idx: int, rep_idx: int):
         self.config = config
@@ -159,11 +162,11 @@ class _TrialBase:
             self.subgraph, split.train, split.val, config.model, seed=self.model_seed
         )
         self.node_embeddings = encode_nodes(self.params, self.subgraph)
+        self.test_embedded = self.embed(split.test)
 
-    def embed(self, edges):
-        endpoints = np.asarray([(e.u, e.v) for e in edges], dtype=np.int64)
-        labels = np.asarray([e.label for e in edges], dtype=np.float64)
-        return edge_embeddings(self.node_embeddings, endpoints), labels
+    def embed(self, rows):
+        """Edge embeddings and float labels of (k, 3) labeled rows."""
+        return edge_embeddings(self.node_embeddings, rows[:, :2]), rows[:, 2].astype(np.float64)
 
     def _calibrated_record(self, arm, train_val, calib, extra):
         z_fit, y_fit = self.embed(train_val)
@@ -175,7 +178,7 @@ class _TrialBase:
             seed=derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}"),
         )
         z_calib, y_calib = self.embed(calib)
-        z_test, y_test = self.embed(self.split.test)
+        z_test, y_test = self.test_embedded
         intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, self.config.alpha)
         report = evaluate(
             intervals, y_test, q_hat=q_hat, alpha=self.config.alpha, calib_size=len(calib)
@@ -194,7 +197,7 @@ class _TrialBase:
 
     def run_cqr(self) -> TrialRecord:
         return self._calibrated_record(
-            "cqr", self.split.train + self.split.val, self.split.calib,
+            "cqr", np.concatenate([self.split.train, self.split.val]), self.split.calib,
             {"ks_after": None, "density_after": None},
         )
 
@@ -210,13 +213,12 @@ class _TrialBase:
             train_s, val_s, calib_s = sample_edges(
                 self.split.train, self.split.val, self.split.calib, self.subgraph, sampler
             )
-            if not train_s:
+            if not len(train_s):
                 raise DegenerateCalibrationError("sampling removed every training edge")
-            sampled_graph = self.subgraph.with_edges(
-                {(e.u, e.v) for e in train_s + val_s if e.label == 1}
-            )
+            fit_rows = np.concatenate([train_s, val_s])
+            sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
             record = self._calibrated_record(
-                "sampled", train_s + val_s, calib_s,
+                "sampled", fit_rows, calib_s,
                 {
                     "ks_after": _graph_ks(sampled_graph),
                     "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
@@ -355,9 +357,7 @@ def sweep_cliques(
     """
     if not grid:
         raise ValueError("sweep_cliques needs a non-empty grid")
-    base_config = RunConfig(
-        **{**_plain_kwargs(config), "clique_m": 0, "clique_n": 0, "n_splits": 1, "n_reps": 1}
-    )
+    base_config = replace(config, clique_m=0, clique_n=0, n_splits=1, n_reps=1)
     base_graph = load_graph(base_config) if base_graph is None else ensure_features(
         base_graph, config.feature_dim, derive_seed(config.seed, "features")
     )
@@ -371,14 +371,12 @@ def sweep_cliques(
                 )
             else:
                 variant_graph = base_graph
-            variant_config = RunConfig(
-                **{
-                    **_plain_kwargs(config),
-                    "seed": derive_seed(config.seed, "clique-run", variant),
-                    "n_splits": 1,
-                    "n_reps": 1,
-                    "run_sampled_arm": False,
-                }
+            variant_config = replace(
+                config,
+                seed=derive_seed(config.seed, "clique-run", variant),
+                n_splits=1,
+                n_reps=1,
+                run_sampled_arm=False,
             )
             positives, negatives = edge_pool(variant_graph, variant_config)
             base = _TrialBase(variant_graph, positives, negatives, variant_config, 0, 0)
@@ -396,31 +394,6 @@ def sweep_cliques(
             )
         )
     return rows
-
-
-def _plain_kwargs(config: RunConfig) -> dict:
-    return {
-        "alpha": config.alpha,
-        "ratios": config.ratios,
-        "seed": config.seed,
-        "n_splits": config.n_splits,
-        "n_reps": config.n_reps,
-        "edge_list": config.edge_list,
-        "feature_file": config.feature_file,
-        "feature_dim": config.feature_dim,
-        "feature_mode": config.feature_mode,
-        "synth_nodes": config.synth_nodes,
-        "synth_beta": config.synth_beta,
-        "synth_d_min": config.synth_d_min,
-        "clique_m": config.clique_m,
-        "clique_n": config.clique_n,
-        "sampler_lambda": config.sampler_lambda,
-        "sampler_mode": config.sampler_mode,
-        "sampler_agg": config.sampler_agg,
-        "run_sampled_arm": config.run_sampled_arm,
-        "model": config.model,
-        "quantile": config.quantile,
-    }
 
 
 def write_report(report, path) -> None:

@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DegenerateCalibrationError
-from .graph import Graph, LabeledEdge, degree_sequence
+from .graph import Graph, as_edge_rows, degree_sequence, row_keys
 from .powerlaw import adaptive_min_tail, fit_power_law
 from .seeding import derive_rng, derive_seed, edge_uniforms
 
@@ -145,7 +145,7 @@ def fitted_ecdfs(degree_source: Graph, cfg: SamplerConfig) -> Tuple[Ecdf, Ecdf]:
 
 def keep_probabilities(edges, node_degrees, cfg: SamplerConfig, ecdf_orig: Ecdf, ecdf_ideal: Ecdf) -> np.ndarray:
     """Keep probability for each (u, v[, label]) edge in ``edges``."""
-    arr = np.asarray([(e[0], e[1]) for e in edges], dtype=np.int64)
+    arr = as_edge_rows(edges)
     if arr.size == 0:
         return np.zeros(0)
     node_degrees = np.asarray(node_degrees)
@@ -154,19 +154,19 @@ def keep_probabilities(edges, node_degrees, cfg: SamplerConfig, ecdf_orig: Ecdf,
     )
 
 
-def _rebalance(kept, rng) -> tuple:
-    # canonical order first, so the trim does not depend on input order
-    kept = sorted(kept)
-    pos = [e for e in kept if e.label == 1]
-    neg = [e for e in kept if e.label == 0]
+def _rebalance(kept: np.ndarray, rng) -> np.ndarray:
+    # canonical (u, v, label) order first, so the trim does not depend on
+    # input order
+    kept = kept[np.argsort(row_keys(kept))]
+    pos, neg = kept[kept[:, 2] == 1], kept[kept[:, 2] == 0]
     size = min(len(pos), len(neg))
     if len(pos) > size:
-        idx = np.sort(rng.choice(len(pos), size=size, replace=False))
-        pos = [pos[i] for i in idx]
+        pos = pos[np.sort(rng.choice(len(pos), size=size, replace=False))]
     if len(neg) > size:
-        idx = np.sort(rng.choice(len(neg), size=size, replace=False))
-        neg = [neg[i] for i in idx]
-    return tuple(pos + neg)
+        neg = neg[np.sort(rng.choice(len(neg), size=size, replace=False))]
+    out = np.concatenate([pos, neg])
+    out.flags.writeable = False
+    return out
 
 
 def sample_edges(train, val, calib, degree_source: Graph, cfg: SamplerConfig):
@@ -177,6 +177,8 @@ def sample_edges(train, val, calib, degree_source: Graph, cfg: SamplerConfig):
     (seed, u, v, label), so the outcome is a pure function of the inputs
     and the seed. Class balance is restored within each subset by
     down-sampling the majority label. The test set is never touched.
+    Each subset is given as (k, 3) rows of (u, v, label) and returned as a
+    read-only (k', 3) int64 array.
 
     Raises DegenerateCalibrationError when no calibration edge survives.
     """
@@ -185,17 +187,11 @@ def sample_edges(train, val, calib, degree_source: Graph, cfg: SamplerConfig):
     edge_seed = derive_seed(cfg.seed, "edge-draws")
     out = []
     for name, subset in (("train", train), ("val", val), ("calib", calib)):
-        subset = tuple(LabeledEdge(int(e[0]), int(e[1]), int(e[2])) for e in subset)
-        if not subset:
-            out.append(())
-            continue
-        probs = keep_probabilities(subset, node_degrees, cfg, ecdf_orig, ecdf_ideal)
-        endpoints = np.asarray([(e.u, e.v) for e in subset], dtype=np.int64)
-        labels = np.asarray([e.label for e in subset], dtype=np.int64)
-        draws = edge_uniforms(edge_seed, endpoints, labels)
-        kept = [e for e, r, p in zip(subset, draws, probs) if r <= p]
+        rows = as_edge_rows(subset, 3)
+        probs = keep_probabilities(rows, node_degrees, cfg, ecdf_orig, ecdf_ideal)
+        kept = rows[edge_uniforms(edge_seed, rows[:, :2], rows[:, 2]) <= probs]
         out.append(_rebalance(kept, derive_rng(cfg.seed, "balance", name)))
-    if calib and not out[2]:
+    if len(calib) and not len(out[2]):
         raise DegenerateCalibrationError(
             f"sampling with lambda={cfg.lam} removed every calibration edge"
         )

@@ -91,20 +91,21 @@ def test_criterion_3_permutation_invariance():
     sub = lc.training_subgraph(g, split)
     params = lc.train_link_predictor(sub, split.train, split.val, cfg_model, seed=35)
     h = lc.encode_nodes(params, sub)
+    fit_rows = np.concatenate([split.train, split.val])
     qmodel = lc.fit_quantile_functions(
-        lc.edge_embeddings(h, np.array([(e.u, e.v) for e in split.train + split.val])),
-        np.array([float(e.label) for e in split.train + split.val]),
+        lc.edge_embeddings(h, fit_rows[:, :2]),
+        fit_rows[:, 2].astype(float),
         0.1, QuantileConfig(epochs=30, learning_rate=5e-3, batch_size=64, hidden_dim=12), seed=36,
     )
 
-    pooled = list(split.calib) + list(split.test)
+    pooled = np.concatenate([split.calib, split.test])
     n_calib = len(split.calib)
 
     def score_all(order):
-        edges = [pooled[i] for i in order]
-        z = lc.edge_embeddings(h, np.array([(e.u, e.v) for e in edges]))
+        edges = pooled[order]
+        z = lc.edge_embeddings(h, edges[:, :2])
         bands = qmodel.quantiles(z)
-        y = np.array([float(e.label) for e in edges])
+        y = edges[:, 2].astype(float)
         return np.maximum(bands[:, 0] - y, y - bands[:, 1]), bands
 
     base_order = np.arange(len(pooled))
@@ -208,7 +209,8 @@ def test_criterion_8_sampler_reduces_ks():
         ks_before = lc.fit_power_law(d0, min_tail=adaptive_min_tail(d0.size)).ks
         sampler = SamplerConfig(lam=1.0, mode="directional", seed=derive_seed(777, seed, "samp"))
         train, val, _ = sample_edges(split.train, split.val, split.calib, sub, sampler)
-        sampled = sub.with_edges({(e.u, e.v) for e in train + val if e.label == 1})
+        kept = np.concatenate([train, val])
+        sampled = sub.with_edges(kept[kept[:, 2] == 1, :2])
         d1 = lc.degree_sequence(sampled, drop_isolated=True)
         ks_after = lc.fit_power_law(d1, min_tail=adaptive_min_tail(d1.size)).ks
         reduced += ks_after < ks_before
@@ -249,7 +251,7 @@ def test_criterion_10_lambda_monotonicity():
     for lam in (0.45, 0.30, 0.15):
         sampler = SamplerConfig(lam=lam, mode="literal", seed=14)
         eo, ei = fitted_ecdfs(sub, sampler)
-        edges = split.train + split.val + split.calib
+        edges = np.concatenate([split.train, split.val, split.calib])
         totals.append(float(keep_probabilities(edges, node_deg, sampler, eo, ei).sum()))
     ok = totals[0] >= totals[1] >= totals[2]
     _report(10, ok, f"expected retained edges over lambda 0.45/0.30/0.15: "

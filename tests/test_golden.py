@@ -1,0 +1,51 @@
+"""Pinned fixed-seed reports: every refactor that claims to preserve
+behaviour must reproduce them byte for byte.
+
+The files under ``tests/golden/`` were written by ``write_report``. Rewrite
+them only in a change that means to alter reports, and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from linkconformal.model import ModelConfig
+from linkconformal.pipeline import run_pipeline, write_report
+from linkconformal.quantile import QuantileConfig
+
+from test_pipeline import tiny_config
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def rejection_config():
+    # 3,000 nodes give 4.5M node pairs, over the enumeration limit, so the
+    # negatives come from rejection sampling.
+    return tiny_config(
+        seed=2024, n_splits=2, synth_nodes=3000, clique_m=10, clique_n=5, feature_dim=8,
+        sampler_lambda=1.0, sampler_mode="directional",
+        model=ModelConfig(hidden_dim=16, num_layers=2, epochs=2, learning_rate=0.1,
+                          batch_size=4096, scorer_hidden_dim=16),
+        quantile=QuantileConfig(epochs=2, learning_rate=2e-2, batch_size=256, hidden_dim=16),
+    )
+
+
+GOLDEN = {
+    "tiny_enumeration.json": tiny_config,
+    "rejection_3000.json": rejection_config,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden(name, tmp_path):
+    path = tmp_path / name
+    write_report(run_pipeline(GOLDEN[name]()), path)
+    assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, make_config in GOLDEN.items():
+        write_report(run_pipeline(make_config()), GOLDEN_DIR / name)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import linkconformal.graph as graph_mod
 from linkconformal.errors import CapacityError, EdgeListParseError
 from linkconformal.graph import (
     EdgeSplit,
@@ -18,6 +19,7 @@ from linkconformal.graph import (
     training_subgraph,
 )
 from linkconformal.powerlaw import fit_power_law
+from linkconformal.seeding import derive_rng
 
 
 def path_graph(n):
@@ -47,6 +49,14 @@ class TestGraphType:
             pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(30, 2)) if a != b}
             g = Graph(n, frozenset(pairs))
             assert degree_sequence(g).sum() == 2 * g.num_edges
+
+    def test_edge_array_sorted_unique_and_read_only(self):
+        g = Graph(5, [(3, 1), (0, 4), (1, 3), (2, 0)])
+        arr = g.edge_array()
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [[0, 2], [0, 4], [1, 3]]
+        assert not arr.flags.writeable
+        assert g.edges == frozenset({(0, 2), (0, 4), (1, 3)})
 
     def test_features_validated_and_frozen(self):
         g = Graph(2, frozenset({(0, 1)}), features=[[1.0], [2.0]])
@@ -108,7 +118,7 @@ class TestNegativeSample:
             negative_sample(g, 1, seed=0)
 
     def test_unique_non_edge(self):
-        assert negative_sample(path_graph(3), 1, seed=0) == [(0, 2)]
+        assert negative_sample(path_graph(3), 1, seed=0).tolist() == [[0, 2]]
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
@@ -116,13 +126,13 @@ class TestNegativeSample:
         g = Graph(100, frozenset(pairs))
         a = negative_sample(g, 50, seed=7)
         b = negative_sample(g, 50, seed=7)
-        assert a == b
-        assert negative_sample(g, 50, seed=8) != a
+        assert np.array_equal(a, b)
+        assert not np.array_equal(negative_sample(g, 50, seed=8), a)
 
     def test_avoids_edges_and_self_loops(self):
         g = path_graph(20)
-        out = negative_sample(g, 100, seed=3)
-        assert len(set(out)) == 100
+        out = negative_sample(g, 100, seed=3).tolist()
+        assert len(set(map(tuple, out))) == 100
         for u, v in out:
             assert u < v
             assert (u, v) not in g.edges
@@ -132,6 +142,59 @@ class TestNegativeSample:
         capacity = 6 * 5 // 2 - g.num_edges
         out = negative_sample(g, capacity, seed=0)
         assert len(out) == capacity
+
+
+def reference_rejection_sample(graph, count, seed):
+    # The set-based rejection loop that the array version replaced, verbatim.
+    n = graph.num_nodes
+    rng = derive_rng(seed, "negative-sample")
+    forbidden = set(graph.edges)
+    result = set()
+    while len(result) < count:
+        batch = max(1024, 2 * (count - len(result)))
+        us = rng.integers(0, n, size=batch)
+        vs = rng.integers(0, n, size=batch)
+        for a, b in zip(us, vs):
+            if a == b:
+                continue
+            pair = (int(a), int(b)) if a < b else (int(b), int(a))
+            if pair in forbidden or pair in result:
+                continue
+            result.add(pair)
+            if len(result) == count:
+                break
+    return sorted(result)
+
+
+class TestNegativeSampleRejection:
+    @pytest.fixture(autouse=True)
+    def force_rejection(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_ENUMERATION_LIMIT", 0)
+
+    @pytest.fixture
+    def graph(self):
+        # 60 nodes, 1770 pairs: large draws repeat pairs within a batch and
+        # need several batches
+        return inject_cliques(generate_powerlaw_graph(60, 2.5, 1, seed=3), 8, 2, seed=4)
+
+    def test_matches_reference_loop(self, graph):
+        capacity = 60 * 59 // 2 - graph.num_edges
+        for count, seed in ((1, 0), (200, 1), (1000, 2), (capacity, 3)):
+            out = negative_sample(graph, count, seed=seed)
+            assert out.dtype == np.int64 and out.shape == (count, 2)
+            assert list(map(tuple, out.tolist())) == reference_rejection_sample(graph, count, seed)
+
+    def test_deterministic_per_seed(self, graph):
+        a = negative_sample(graph, 500, seed=7)
+        assert np.array_equal(a, negative_sample(graph, 500, seed=7))
+        assert not np.array_equal(a, negative_sample(graph, 500, seed=8))
+
+    def test_distinct_non_edges(self, graph):
+        out = negative_sample(graph, 900, seed=5).tolist()
+        pairs = set(map(tuple, out))
+        assert len(pairs) == 900
+        assert all(u < v for u, v in pairs)
+        assert not pairs & graph.edges
 
 
 class TestSplitEdges:
@@ -146,21 +209,21 @@ class TestSplitEdges:
         neg = [(0, 2), (0, 3)]
         split = split_edges(pos, neg, (1, 0, 0, 0), seed=0)
         assert len(split.train) == 4
-        assert split.val == split.calib == split.test == ()
+        assert len(split.val) == len(split.calib) == len(split.test) == 0
 
     def test_class_balance_per_subset(self):
         pos = [(0, i + 1) for i in range(21)]
         neg = [(1, i + 2) for i in range(21)]
         split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=5)
         for subset in (split.train, split.val, split.calib, split.test):
-            n_pos = sum(e.label for e in subset)
+            n_pos = int(subset[:, 2].sum())
             assert 2 * n_pos == len(subset)
 
     def test_union_preserved(self):
         pos = [(0, i + 1) for i in range(12)]
         neg = [(1, i + 2) for i in range(12)]
         split = split_edges(pos, neg, (0.4, 0.2, 0.2, 0.2), seed=2)
-        got = sorted((e.u, e.v, e.label) for s in split.subsets.values() for e in s)
+        got = sorted(map(tuple, np.concatenate(list(split.subsets.values())).tolist()))
         want = sorted([(u, v, 1) for u, v in pos] + [(u, v, 0) for u, v in neg])
         assert got == want
 

@@ -171,7 +171,7 @@ class TestTraining:
 
     def test_single_label_rejected(self):
         sub, split = toy_setup(seed=14)
-        only_pos = tuple(e for e in split.train if e.label == 1)
+        only_pos = split.train[split.train[:, 2] == 1]
         with pytest.raises(ValueError):
             train_link_predictor(sub, only_pos, split.val, SMALL, seed=0)
 
