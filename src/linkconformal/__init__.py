@@ -9,7 +9,6 @@ power-law degree distribution to tighten the intervals.
 from .config import RunConfig, build_run_config, config_echo, parse_config_text
 from .conformal import (
     ConformalReport,
-    PredictionInterval,
     conformal_quantile,
     conformalize,
     evaluate,

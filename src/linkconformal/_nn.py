@@ -1,12 +1,35 @@
-"""Internal helpers shared by the trained networks: init, optimizer, checks."""
+"""Internal helpers shared by the trained networks: init, optimizer, checks, dumps."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 # Gradients smaller than this are treated as zero-scale in relative-error
 # comparisons, so degenerate (flat) points do not inflate the check.
 _GRAD_FLOOR = 1e-6
+
+_DUMP_FORMAT = "linkconformal-params"
+_DUMP_VERSION = 1
+
+
+def save_dump(path, kind: str, body: dict) -> None:
+    """Write a JSON parameter dump: the format/version/kind header, then ``body``."""
+    payload = {"format": _DUMP_FORMAT, "version": _DUMP_VERSION, "kind": kind, **body}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_dump(path, kind: str) -> dict:
+    """Read a dump that ``save_dump`` wrote with the same ``kind``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if payload.get("format") != _DUMP_FORMAT or payload.get("version") != _DUMP_VERSION:
+        raise ValueError(f"unsupported parameter dump header in {path}")
+    if payload.get("kind") != kind:
+        raise ValueError(f"{path} holds a {payload.get('kind')!r} dump, not a {kind!r} dump")
+    return payload
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -9,13 +9,12 @@ command-line values override config-file values.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
 from .config import build_run_config, parse_config_text
 from .graph import degree_sequence, generate_powerlaw_graph, inject_cliques, load_edge_list
-from .pipeline import run_pipeline, sweep_cliques, sweep_lambda, write_csv, write_report
+from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv, write_report
 from .powerlaw import fit_power_law
 from .seeding import derive_seed
 
@@ -53,21 +52,16 @@ def _run_config(args) -> "RunConfig":
     return build_run_config(file_values, overrides)
 
 
-def _emit(payload: dict, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(payload, out_path):
+    """Write a report or JSON-ready dict to ``out_path``, or to stdout when omitted."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_report(payload, out_path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report_text(payload))
 
 
 def _cmd_run(args) -> int:
-    report = run_pipeline(_run_config(args))
-    if args.out:
-        write_report(report, args.out)
-    else:
-        _emit(report.to_dict(), None)
+    _emit(run_pipeline(_run_config(args)), args.out)
     return 0
 
 

@@ -11,30 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 # Absolute slack when ceiling (K+1)(1-alpha); guards against float
 # representation error at exact integer boundaries (e.g. 10 * 0.9).
 _CEIL_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"inverted interval [{self.lower}, {self.upper}]")
-
-    @property
-    def length(self) -> float:
-        return self.upper - self.lower
-
-    def covers(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
 
 
 @dataclass(frozen=True)
@@ -47,11 +30,21 @@ class ConformalReport:
     test_size: int
 
 
-def nonconformity(lower: float, upper: float, y: float) -> float:
-    """Score of label y against the band [lower, upper]."""
-    if lower > upper:
-        raise ValueError(f"lower={lower} exceeds upper={upper}")
-    return max(lower - y, y - upper)
+def _check_ordered(lower: np.ndarray, upper: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row where lower > upper."""
+    inverted = np.flatnonzero(lower > upper)
+    if inverted.size:
+        i = inverted[0]
+        lo, hi = np.broadcast_arrays(lower, upper)
+        raise ValueError(f"inverted {what} [{lo.flat[i]}, {hi.flat[i]}] at row {i}")
+
+
+def nonconformity(lower, upper, y):
+    """Scores max(lower - y, y - upper) of labels y against bands [lower, upper]."""
+    lower, upper, y = (np.asarray(a, dtype=np.float64) for a in (lower, upper, y))
+    _check_ordered(lower, upper, "band")
+    scores = np.maximum(lower - y, y - upper)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -71,23 +64,26 @@ def conformal_quantile(scores, alpha: float) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
-def prediction_interval(lower: float, upper: float, q_hat: float) -> PredictionInterval:
-    """Widen the band [lower, upper] by q_hat on both sides.
+def prediction_interval(lower, upper, q_hat: float) -> np.recarray:
+    """Widen the bands [lower, upper] by q_hat on both sides.
 
-    A negative q_hat can empty the interval; in that case the degenerate
-    point interval at the band midpoint is returned.
+    Returns an (n,) record array with float64 fields ``lower`` and
+    ``upper``. A negative q_hat can empty an interval; such a row becomes
+    the degenerate point interval at its band midpoint.
     """
-    if lower > upper:
-        raise ValueError(f"lower={lower} exceeds upper={upper}")
+    lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
+    upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
+    _check_ordered(lower, upper, "band")
     lo, hi = lower - q_hat, upper + q_hat
-    if lo > hi:
-        mid = (lower + upper) / 2.0
-        return PredictionInterval(mid, mid)
-    return PredictionInterval(lo, hi)
+    empty = lo > hi
+    mid = (lower[empty] + upper[empty]) / 2.0
+    lo[empty] = mid
+    hi[empty] = mid
+    return np.rec.fromarrays([lo, hi], names="lower,upper")
 
 
 def evaluate(
-    intervals: Sequence[PredictionInterval],
+    intervals: np.recarray,
     labels,
     q_hat: float = math.nan,
     alpha: float = math.nan,
@@ -99,11 +95,12 @@ def evaluate(
         raise ValueError(f"{len(intervals)} intervals vs {labels.size} labels")
     if labels.size == 0:
         raise ValueError("nothing to evaluate")
-    covered = sum(iv.covers(y) for iv, y in zip(intervals, labels))
-    lengths = np.array([iv.length for iv in intervals])
+    lower, upper = intervals.lower, intervals.upper
+    _check_ordered(lower, upper, "interval")
+    covered = int(np.count_nonzero((lower <= labels) & (labels <= upper)))
     return ConformalReport(
         empirical_coverage=covered / labels.size,
-        avg_interval_length=float(np.mean(lengths)),
+        avg_interval_length=float(np.mean(upper - lower)),
         q_hat=q_hat,
         alpha=alpha,
         calib_size=calib_size,
@@ -117,19 +114,16 @@ def conformalize(
     calib_labels,
     test_embeddings,
     alpha: float,
-) -> Tuple[List[PredictionInterval], float]:
+) -> Tuple[np.recarray, float]:
     """Calibrate the quantile band and construct test intervals.
 
     ``qmodel`` must expose ``quantiles(Z) -> (n, 2)`` sorted bands.
-    Returns (one PredictionInterval per test row, q_hat).
+    Returns (the ``prediction_interval`` record array of the test rows, q_hat).
     """
     calib_embeddings = np.asarray(calib_embeddings, dtype=np.float64)
-    calib_labels = np.asarray(calib_labels, dtype=np.float64)
     if calib_embeddings.shape[0] == 0:
         raise ValueError("calibration set must be non-empty")
     bands = qmodel.quantiles(calib_embeddings)
-    scores = np.maximum(bands[:, 0] - calib_labels, calib_labels - bands[:, 1])
-    q_hat = conformal_quantile(scores, alpha)
+    q_hat = conformal_quantile(nonconformity(bands[:, 0], bands[:, 1], calib_labels), alpha)
     test_bands = qmodel.quantiles(np.asarray(test_embeddings, dtype=np.float64))
-    intervals = [prediction_interval(lo, hi, q_hat) for lo, hi in test_bands]
-    return intervals, q_hat
+    return prediction_interval(test_bands[:, 0], test_bands[:, 1], q_hat), q_hat

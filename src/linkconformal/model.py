@@ -13,21 +13,17 @@ and checkable against finite differences.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import MomentumSGD, init_weight, max_relative_gradient_error, relu
+from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, relu, save_dump
 from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
 AGGREGATIONS = ("gcn-normalized", "mean-neighbor")
-
-_DUMP_FORMAT = "linkconformal-params"
-_DUMP_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -99,20 +95,8 @@ class ModelParams:
         )
 
     def save(self, path) -> None:
-        payload = {
-            "format": _DUMP_FORMAT,
-            "version": _DUMP_VERSION,
-            "kind": "link-predictor",
-            "config": {
-                "hidden_dim": self.config.hidden_dim,
-                "num_layers": self.config.num_layers,
-                "aggregation": self.config.aggregation,
-                "epochs": self.config.epochs,
-                "learning_rate": self.config.learning_rate,
-                "batch_size": self.config.batch_size,
-                "momentum": self.config.momentum,
-                "scorer_hidden_dim": self.config.scorer_hidden_dim,
-            },
+        save_dump(path, "link-predictor", {
+            "config": asdict(self.config),
             "encoder_weights": [w.tolist() for w in self.encoder_weights],
             "scorer": {
                 "w1": self.scorer_w1.tolist(),
@@ -120,16 +104,11 @@ class ModelParams:
                 "w2": self.scorer_w2.tolist(),
                 "b2": self.scorer_b2.tolist(),
             },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        })
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != _DUMP_FORMAT or payload.get("version") != _DUMP_VERSION:
-            raise ValueError(f"unsupported parameter dump header in {path}")
+        payload = load_dump(path, "link-predictor")
         config = ModelConfig(**payload["config"])
         scorer = payload["scorer"]
         return cls(

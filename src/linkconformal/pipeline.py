@@ -86,7 +86,7 @@ class LambdaSweepRow:
 class CliqueSweepRow:
     m: int
     n: int
-    mean_ks: float
+    mean_ks: Optional[float]
     mean_length: float
     mean_coverage: float
 
@@ -135,6 +135,12 @@ def _graph_ks(graph: Graph) -> Optional[float]:
     if degrees.size < 2 or np.unique(degrees).size < 2:
         return None
     return fit_power_law(degrees, min_tail=adaptive_min_tail(degrees.size)).ks
+
+
+def _mean(values) -> Optional[float]:
+    """Mean of the values that are not None; None when none are left."""
+    values = [v for v in values if v is not None]
+    return float(np.mean(values)) if values else None
 
 
 def _graph_density(num_nodes: int, num_edges: int) -> float:
@@ -323,16 +329,13 @@ def sweep_lambda(config: RunConfig, lambdas: Sequence[float], graph: Optional[Gr
     for lam in lambdas:
         records = per_lambda[lam]
         ok = [r for r in records if r.error is None]
-        def _mean(attr):
-            values = [getattr(r, attr) for r in ok if getattr(r, attr) is not None]
-            return float(np.mean(values)) if values else None
         rows.append(
             LambdaSweepRow(
                 lam=lam,
-                density=_mean("density_after"),
-                ks=_mean("ks_after"),
-                coverage=_mean("coverage"),
-                avg_length=_mean("avg_length"),
+                density=_mean(r.density_after for r in ok),
+                ks=_mean(r.ks_after for r in ok),
+                coverage=_mean(r.coverage for r in ok),
+                avg_length=_mean(r.avg_length for r in ok),
                 n_trials=len(records),
                 n_degenerate=len(records) - len(ok),
             )
@@ -353,10 +356,13 @@ def sweep_cliques(
     recorded alongside the interval length. Variant seeds do not depend on
     the grid point, so variant i of every (m, n) shares its base graph,
     negative pool, split, and model streams: grid points differ only by
-    the injected cliques.
+    the injected cliques. ``mean_ks`` averages the variants that admit a
+    KS fit and is None when none does.
     """
     if not grid:
         raise ValueError("sweep_cliques needs a non-empty grid")
+    if n_variants < 1:
+        raise ValueError(f"n_variants must be >= 1, got {n_variants}")
     base_config = replace(config, clique_m=0, clique_n=0, n_splits=1, n_reps=1)
     base_graph = load_graph(base_config) if base_graph is None else ensure_features(
         base_graph, config.feature_dim, derive_seed(config.seed, "features")
@@ -388,7 +394,7 @@ def sweep_cliques(
             CliqueSweepRow(
                 m=m,
                 n=n,
-                mean_ks=float(np.mean([k for k in ks_values if k is not None])),
+                mean_ks=_mean(ks_values),
                 mean_length=float(np.mean(lengths)),
                 mean_coverage=float(np.mean(coverages)),
             )
@@ -396,13 +402,18 @@ def sweep_cliques(
     return rows
 
 
-def write_report(report, path) -> None:
-    """Serialize a report (or any JSON-ready dict) with stable key order."""
+def report_text(report) -> str:
+    """A report (or any JSON-ready dict) as JSON text with stable key order."""
     payload = report.to_dict() if hasattr(report, "to_dict") else report
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_report(report, path) -> None:
+    """Write ``report_text(report)`` to ``path``."""
+    text = report_text(report)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

@@ -8,17 +8,13 @@ prediction time by sorting the two outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import MomentumSGD, init_weight, max_relative_gradient_error, relu
+from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, relu, save_dump
 from .seeding import derive_rng
-
-_DUMP_FORMAT = "linkconformal-params"
-_DUMP_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,22 +69,14 @@ class QuantileModel:
         return np.sort(self.raw(z), axis=1)
 
     def save(self, path) -> None:
-        payload = {
-            "format": _DUMP_FORMAT,
-            "version": _DUMP_VERSION,
-            "kind": "quantile-regressor",
+        save_dump(path, "quantile-regressor", {
             "levels": list(self.levels),
             "arrays": {name: arr.tolist() for name, arr in zip("w1 b1 w2 b2 w3 b3".split(), self.param_arrays())},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        })
 
     @classmethod
     def load(cls, path) -> "QuantileModel":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != _DUMP_FORMAT or payload.get("version") != _DUMP_VERSION:
-            raise ValueError(f"unsupported parameter dump header in {path}")
+        payload = load_dump(path, "quantile-regressor")
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in payload["arrays"].items()}
         return cls(
             arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],

@@ -106,7 +106,7 @@ def test_criterion_3_permutation_invariance():
         z = lc.edge_embeddings(h, edges[:, :2])
         bands = qmodel.quantiles(z)
         y = edges[:, 2].astype(float)
-        return np.maximum(bands[:, 0] - y, y - bands[:, 1]), bands
+        return lc.nonconformity(bands[:, 0], bands[:, 1], y), bands
 
     base_order = np.arange(len(pooled))
     base_scores, base_bands = score_all(base_order)

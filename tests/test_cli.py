@@ -72,3 +72,12 @@ def _tiny_cfg(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_run_stdout_matches_out_file(tmp_path, capsys):
+    args = ["run", "--config", str(_tiny_cfg(tmp_path)), "--seed", "4"]
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

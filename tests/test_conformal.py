@@ -1,10 +1,10 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from linkconformal.conformal import (
-    PredictionInterval,
     conformal_quantile,
     conformalize,
     evaluate,
@@ -21,6 +21,47 @@ def brute_force_quantile(scores, alpha):
     if k > len(ordered):
         return math.inf
     return ordered[k - 1]
+
+
+@dataclass(frozen=True)
+class PredictionInterval:
+    # the per-row interval type the array layer replaced, kept as the oracle
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValueError(f"inverted interval [{self.lower}, {self.upper}]")
+
+    @property
+    def length(self) -> float:
+        return self.upper - self.lower
+
+    def covers(self, y: float) -> bool:
+        return self.lower <= y <= self.upper
+
+
+def reference_prediction_interval(lower: float, upper: float, q_hat: float) -> PredictionInterval:
+    if lower > upper:
+        raise ValueError(f"lower={lower} exceeds upper={upper}")
+    lo, hi = lower - q_hat, upper + q_hat
+    if lo > hi:
+        mid = (lower + upper) / 2.0
+        return PredictionInterval(mid, mid)
+    return PredictionInterval(lo, hi)
+
+
+def reference_evaluate(intervals, labels):
+    # (coverage, average length) by the per-row loop evaluate used to run
+    labels = np.asarray(labels, dtype=np.float64)
+    covered = sum(iv.covers(y) for iv, y in zip(intervals, labels))
+    lengths = np.array([iv.length for iv in intervals])
+    return covered / labels.size, float(np.mean(lengths))
+
+
+def intervals_of(lower, upper):
+    """Record array of the given intervals (q_hat = 0 keeps them as they are)."""
+    return prediction_interval(lower, upper, 0.0)
 
 
 class TestNonconformity:
@@ -44,6 +85,15 @@ class TestNonconformity:
     def test_inverted_band(self):
         with pytest.raises(ValueError):
             nonconformity(1.0, 0.0, 0.5)
+        with pytest.raises(ValueError):
+            nonconformity([0.0, 1.0], [1.0, 0.0], [0.5, 0.5])
+
+    def test_vectorized_matches_scalar(self):
+        rng = np.random.default_rng(5)
+        bands = np.sort(rng.normal(size=(200, 2)), axis=1)
+        y = rng.normal(size=200)
+        scores = nonconformity(bands[:, 0], bands[:, 1], y)
+        assert scores.tolist() == [nonconformity(lo, hi, v) for (lo, hi), v in zip(bands, y)]
 
 
 class TestConformalQuantile:
@@ -87,62 +137,126 @@ class TestConformalQuantile:
 
 class TestPredictionInterval:
     def test_widen(self):
-        iv = prediction_interval(0.2, 0.8, 0.05)
+        iv = prediction_interval([0.2], [0.8], 0.05)[0]
         assert (iv.lower, iv.upper) == (pytest.approx(0.15), pytest.approx(0.85))
 
     def test_identity(self):
-        iv = prediction_interval(0.2, 0.8, 0.0)
+        iv = prediction_interval([0.2], [0.8], 0.0)[0]
         assert (iv.lower, iv.upper) == (0.2, 0.8)
 
     def test_degenerate_midpoint(self):
-        iv = prediction_interval(0.4, 0.6, -0.2)
+        iv = prediction_interval([0.4], [0.6], -0.2)[0]
         assert (iv.lower, iv.upper) == (pytest.approx(0.5), pytest.approx(0.5))
-        assert iv.length == 0.0
+        assert iv.upper - iv.lower == 0.0
 
     def test_infinite(self):
-        iv = prediction_interval(0.0, 1.0, math.inf)
+        iv = prediction_interval([0.0], [1.0], math.inf)[0]
         assert iv.lower == -math.inf and iv.upper == math.inf
+
+    def test_record_array(self):
+        ivs = prediction_interval([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], 0.1)
+        assert isinstance(ivs, np.recarray) and ivs.shape == (3,)
+        assert ivs.dtype.names == ("lower", "upper")
+        assert ivs.lower.dtype == ivs.upper.dtype == np.float64
 
     def test_type_invariant(self):
         with pytest.raises(ValueError):
-            PredictionInterval(1.0, 0.0)
+            prediction_interval([1.0], [0.0], 0.0)
+        with pytest.raises(ValueError):
+            prediction_interval([0.0, 0.4, 1.0], [1.0, 0.6, 0.0], 0.1)
+
+
+class TestArrayLayerMatchesPerRowOracle:
+    """The array functions against the per-row code they replaced, exactly."""
+
+    @staticmethod
+    def random_bands(rng, n):
+        bands = np.sort(rng.normal(scale=0.5, size=(n, 2)), axis=1)
+        kind = rng.integers(0, 6, size=n)
+        bands[kind == 1, 0] = -math.inf
+        bands[kind == 2, 1] = math.inf
+        bands[kind == 3] = (-math.inf, math.inf)
+        bands[kind == 4, 1] = bands[kind == 4, 0]  # zero-width band
+        return bands
+
+    @staticmethod
+    def labels_for(rng, intervals):
+        # a mix of free labels, binary labels and labels exactly on an endpoint
+        labels = rng.normal(size=len(intervals))
+        kind = rng.integers(0, 4, size=len(intervals))
+        labels[kind == 1] = (rng.random(np.count_nonzero(kind == 1)) < 0.5).astype(float)
+        labels[kind == 2] = intervals.lower[kind == 2]
+        labels[kind == 3] = intervals.upper[kind == 3]
+        return np.where(np.isfinite(labels), labels, 0.0)
+
+    @pytest.mark.parametrize("q_hat", [-0.4, -0.05, 0.0, 0.2, math.inf])
+    def test_intervals_coverage_and_length(self, q_hat):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n = int(rng.integers(1, 80))
+            bands = self.random_bands(rng, n)
+            got = prediction_interval(bands[:, 0], bands[:, 1], q_hat)
+            want = [reference_prediction_interval(lo, hi, q_hat) for lo, hi in bands]
+            assert got.lower.tolist() == [iv.lower for iv in want]
+            assert got.upper.tolist() == [iv.upper for iv in want]
+            labels = self.labels_for(rng, got)
+            report = evaluate(got, labels)
+            coverage, length = reference_evaluate(want, labels)
+            assert report.empirical_coverage == coverage
+            assert report.avg_interval_length == length
+
+    def test_midpoint_repair_happens(self):
+        rng = np.random.default_rng(7)
+        bands = self.random_bands(rng, 200)
+        got = prediction_interval(bands[:, 0], bands[:, 1], -0.4)
+        finite = np.isfinite(bands).all(axis=1)
+        narrow = finite & (bands[:, 1] - bands[:, 0] < 0.8)
+        assert narrow.any()
+        np.testing.assert_array_equal(got.lower[narrow], got.upper[narrow])
+        np.testing.assert_array_equal(got.lower[narrow], (bands[narrow, 0] + bands[narrow, 1]) / 2.0)
 
 
 class TestEvaluate:
     def test_full_coverage(self):
-        ivs = [PredictionInterval(0.0, 1.0)] * 4
+        ivs = intervals_of([0.0] * 4, [1.0] * 4)
         rep = evaluate(ivs, [0, 1, 1, 0])
         assert rep.empirical_coverage == 1.0
         assert rep.avg_interval_length == 1.0
 
     def test_counts(self):
-        ivs = [PredictionInterval(0.0, 0.5), PredictionInterval(0.5, 1.0)]
+        ivs = intervals_of([0.0, 0.5], [0.5, 1.0])
         rep = evaluate(ivs, [0.75, 0.75])
         assert rep.empirical_coverage == 0.5
 
     def test_closed_endpoints(self):
-        rep = evaluate([PredictionInterval(0.0, 1.0)], [1.0])
+        rep = evaluate(intervals_of([0.0], [1.0]), [1.0])
         assert rep.empirical_coverage == 1.0
 
     def test_inf_propagates(self):
-        ivs = [PredictionInterval(-math.inf, math.inf), PredictionInterval(0.0, 1.0)]
+        ivs = intervals_of([-math.inf, 0.0], [math.inf, 1.0])
         rep = evaluate(ivs, [5.0, 0.5])
         assert rep.avg_interval_length == math.inf
         assert rep.empirical_coverage == 1.0
 
     def test_order_invariance(self):
         rng = np.random.default_rng(4)
-        ivs = [PredictionInterval(*sorted(rng.normal(size=2))) for _ in range(30)]
+        bands = np.sort(rng.normal(size=(30, 2)), axis=1)
+        ivs = intervals_of(bands[:, 0], bands[:, 1])
         labels = rng.normal(size=30)
         base = evaluate(ivs, labels)
         perm = rng.permutation(30)
-        shuffled = evaluate([ivs[i] for i in perm], labels[perm])
+        shuffled = evaluate(ivs[perm], labels[perm])
         assert shuffled.empirical_coverage == base.empirical_coverage
         assert shuffled.avg_interval_length == pytest.approx(base.avg_interval_length)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate([PredictionInterval(0, 1)], [0.5, 0.5])
+            evaluate(intervals_of([0.0], [1.0]), [0.5, 0.5])
+
+    def test_inverted_interval(self):
+        ivs = np.rec.fromarrays([[0.0, 1.0], [1.0, 0.0]], names="lower,upper")
+        with pytest.raises(ValueError):
+            evaluate(ivs, [0.5, 0.5])
 
 
 class TestConformalize:

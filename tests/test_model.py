@@ -13,6 +13,7 @@ from linkconformal.model import (
     structural_features,
     train_link_predictor,
 )
+from linkconformal.quantile import QuantileConfig, QuantileModel, fit_quantile_functions
 
 SMALL = ModelConfig(hidden_dim=12, num_layers=2, epochs=30, learning_rate=0.05,
                     batch_size=256, scorer_hidden_dim=10)
@@ -222,6 +223,18 @@ class TestParamsIO:
         path.write_text('{"format": "something-else", "version": 9}')
         with pytest.raises(ValueError):
             ModelParams.load(path)
+        with pytest.raises(ValueError):
+            QuantileModel.load(path)
+        # a dump of the other network kind is a ValueError, not a KeyError
+        rng = np.random.default_rng(20)
+        link_path, quantile_path = tmp_path / "link.json", tmp_path / "quantile.json"
+        random_params(rng).save(link_path)
+        fit_quantile_functions(rng.standard_normal((40, 3)), (rng.random(40) < 0.5).astype(float), 0.1,
+                               QuantileConfig(epochs=1, batch_size=16, hidden_dim=4), seed=0).save(quantile_path)
+        with pytest.raises(ValueError, match="quantile-regressor"):
+            ModelParams.load(quantile_path)
+        with pytest.raises(ValueError, match="link-predictor"):
+            QuantileModel.load(link_path)
 
 
 def test_structural_features_correlate_with_structure():

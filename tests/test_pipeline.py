@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
+from linkconformal.graph import Graph
 from linkconformal.model import ModelConfig
 from linkconformal.pipeline import (
     TrialRecord,
@@ -115,6 +117,16 @@ class TestSweepCliques:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_cliques(tiny_config(), [])
+        with pytest.raises(ValueError):
+            sweep_cliques(tiny_config(), [(2, 0)], n_variants=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_ks_fit_gives_none_not_nan(self):
+        # every node of a cycle has degree 2, so no variant admits a KS fit
+        cycle = Graph(300, [(i, (i + 1) % 300) for i in range(300)])
+        row = sweep_cliques(tiny_config(), [(2, 0)], n_variants=1, base_graph=cycle)[0]
+        assert row.mean_ks is None
+        assert np.isfinite(row.mean_length) and 0.0 <= row.mean_coverage <= 1.0
 
 
 class TestReports:
