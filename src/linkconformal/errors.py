@@ -14,4 +14,10 @@ class CapacityError(ValueError):
 
 
 class DegenerateCalibrationError(RuntimeError):
-    """Edge resampling removed every calibration edge; lower lambda or switch mode."""
+    """A calibration arm cannot produce finite intervals.
+
+    Raised when edge resampling removes every training or calibration edge
+    (lower lambda or switch mode), and when the calibration set is too small
+    for alpha, so that q_hat is +inf. The pipeline records it as the
+    trial's error.
+    """

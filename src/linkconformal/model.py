@@ -160,21 +160,19 @@ def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> n
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
-def _encoder_forward(a_hat, features, weights):
-    # Returns (propagated inputs S_l, pre-activations Z_l, activations A_l).
-    activations = [features]
-    propagated = []
+def _encoder_forward(a_hat, propagated_features, weights):
+    # ``propagated_features`` is a_hat @ features, which does not depend on
+    # the weights. Returns (propagated inputs S_l, pre-activations Z_l,
+    # output H of the last layer).
+    propagated = [propagated_features]
     preacts = []
-    h = features
     last = len(weights) - 1
     for l, w in enumerate(weights):
-        s = a_hat @ h
-        z = s @ w
-        h = z if l == last else relu(z)
-        propagated.append(s)
+        z = propagated[l] @ w
         preacts.append(z)
-        activations.append(h)
-    return propagated, preacts, activations
+        if l == last:
+            return propagated, preacts, z
+        propagated.append(a_hat @ relu(z))
 
 
 def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
@@ -187,7 +185,7 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
             f"encoder input dim {params.encoder_weights[0].shape[0]}"
         )
     a_hat = normalized_adjacency(graph, params.config.aggregation)
-    return _encoder_forward(a_hat, graph.features, params.encoder_weights)[2][-1]
+    return _encoder_forward(a_hat, a_hat @ graph.features, params.encoder_weights)[2]
 
 
 def edge_embedding(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
@@ -225,41 +223,54 @@ def edge_score(params: ModelParams, z: np.ndarray) -> float:
     return float(np.clip(s, 1e-15, 1.0 - 1e-15))
 
 
-def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True):
+def _scatter_rows(num_rows, index, values):
+    """``out[i]`` = sum of the rows ``values[k]`` with ``index[k] == i``.
+
+    One product with a (num_rows, k) 0/1 incidence matrix. CSR keeps each
+    row's entries in input order and its product adds them to 0 in that
+    order, so each sum is bit-identical to a loop that adds ``values[k]``
+    to ``out[index[k]]`` for k = 0, 1, ...
+    """
+    k = index.size
+    incidence = sp.coo_matrix((np.ones(k), (index, np.arange(k))), shape=(num_rows, k)).tocsr()
+    return incidence @ values
+
+
+def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None):
+    # Returns (loss, None) when not want_grads, else (None, gradients).
+    # ``forward`` is the encoder pass at ``arrays`` when the caller has it.
     n_enc = len(arrays) - 4
     enc_weights = arrays[:n_enc]
     scorer = arrays[n_enc:]
-    propagated, preacts, activations = _encoder_forward(a_hat, features, enc_weights)
-    h = activations[-1]
+    if forward is None:
+        forward = _encoder_forward(a_hat, a_hat @ features, enc_weights)
+    propagated, preacts, h = forward
     zu, zv = h[endpoints[:, 0]], h[endpoints[:, 1]]
     z = zu * zv
     logits, pre, hidden = _scorer_logits(scorer, z)
-    # BCE from logits: softplus(logit) - y * logit, numerically stable.
-    loss = float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits))
     if not want_grads:
-        return loss, None
+        # BCE from logits: softplus(logit) - y * logit, numerically stable.
+        return float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits)), None
     batch = labels.size
     s = 1.0 / (1.0 + np.exp(-logits))
     dlogit = (s - labels) / batch
     w1, b1, w2, b2 = scorer
     d_b2 = np.array([dlogit.sum()])
     d_w2 = hidden.T @ dlogit
-    d_hidden = np.outer(dlogit, w2)
-    d_pre = d_hidden * (pre > 0)
+    d_pre = np.outer(dlogit, w2)
+    d_pre *= pre > 0
     d_w1 = z.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     d_z = d_pre @ w1.T
-    d_h = np.zeros_like(h)
-    np.add.at(d_h, endpoints[:, 0], d_z * zv)
-    np.add.at(d_h, endpoints[:, 1], d_z * zu)
+    d_h = _scatter_rows(h.shape[0], endpoints.T.ravel(), np.concatenate([d_z * zv, d_z * zu]))
     enc_grads = [None] * n_enc
-    d_act = d_h
+    d_pre_l = d_h
     for l in range(n_enc - 1, -1, -1):
-        d_pre_l = d_act if l == n_enc - 1 else d_act * (preacts[l] > 0)
         enc_grads[l] = propagated[l].T @ d_pre_l
         if l > 0:
-            d_act = a_hat.T @ (d_pre_l @ enc_weights[l].T)
-    return loss, enc_grads + [d_w1, d_b1, d_w2, d_b2]
+            d_pre_l = a_hat.T @ (d_pre_l @ enc_weights[l].T)
+            d_pre_l *= preacts[l - 1] > 0
+    return None, enc_grads + [d_w1, d_b1, d_w2, d_b2]
 
 
 def _init_params(rng, feature_dim, config: ModelConfig) -> ModelParams:
@@ -304,24 +315,34 @@ def train_link_predictor(
         raise ValueError("training set must contain both labels")
     a_hat = normalized_adjacency(subgraph, config.aggregation)
     features = subgraph.features
+    propagated_features = a_hat @ features
     rng = derive_rng(seed, "train-link-predictor")
     params = _init_params(rng, features.shape[1], config)
     arrays = params.param_arrays()
+    enc_weights = arrays[: config.num_layers]
     optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
     val_endpoints, val_labels = _as_endpoint_arrays(val) if len(val) else (None, None)
     best_loss = np.inf
     best = None
+    # The encoder pass at the current weights, when one was made since the
+    # last step: the validation pass after an epoch is the forward pass of
+    # the next epoch's first step.
+    forward = None
     for _ in range(config.epochs):
         order = rng.permutation(train_labels.size)
         for start in range(0, train_labels.size, config.batch_size):
             batch = order[start : start + config.batch_size]
+            if forward is None:
+                forward = _encoder_forward(a_hat, propagated_features, enc_weights)
             _, grads = _bce_loss_and_grads(
-                arrays, a_hat, features, train_endpoints[batch], train_labels[batch]
+                arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward
             )
             optimizer.step(arrays, grads)
+            forward = None
         if val_labels is not None:
+            forward = _encoder_forward(a_hat, propagated_features, enc_weights)
             val_loss, _ = _bce_loss_and_grads(
-                arrays, a_hat, features, val_endpoints, val_labels, want_grads=False
+                arrays, a_hat, features, val_endpoints, val_labels, want_grads=False, forward=forward
             )
             if val_loss < best_loss:
                 best_loss = val_loss

@@ -15,6 +15,7 @@ from their own config echo.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -87,8 +88,8 @@ class CliqueSweepRow:
     m: int
     n: int
     mean_ks: Optional[float]
-    mean_length: float
-    mean_coverage: float
+    mean_length: Optional[float]
+    mean_coverage: Optional[float]
 
 
 def load_graph(config: RunConfig) -> Graph:
@@ -186,6 +187,12 @@ class _TrialBase:
         z_calib, y_calib = self.embed(calib)
         z_test, y_test = self.test_embedded
         intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, self.config.alpha)
+        if q_hat == math.inf:
+            alpha = self.config.alpha
+            raise DegenerateCalibrationError(
+                f"a calibration set of K={len(calib)} edges gives an infinite q_hat at "
+                f"alpha={alpha}: K >= (1 - alpha) / alpha = {(1.0 - alpha) / alpha:g} is needed"
+            )
         report = evaluate(
             intervals, y_test, q_hat=q_hat, alpha=self.config.alpha, calib_size=len(calib)
         )
@@ -201,13 +208,30 @@ class _TrialBase:
             **extra,
         )
 
+    def _recorded(self, arm, run) -> TrialRecord:
+        """``run()``, or the arm's error record when calibration degenerates."""
+        try:
+            return run()
+        except DegenerateCalibrationError as exc:
+            return TrialRecord(
+                arm=arm,
+                split=self.split_idx,
+                rep=self.rep_idx,
+                seed=self.model_seed,
+                ks_before=self.ks_before,
+                error=str(exc),
+            )
+
     def run_cqr(self) -> TrialRecord:
-        return self._calibrated_record(
-            "cqr", np.concatenate([self.split.train, self.split.val]), self.split.calib,
-            {"ks_after": None, "density_after": None},
-        )
+        fit_rows = np.concatenate([self.split.train, self.split.val])
+        return self._recorded("cqr", lambda: self._calibrated_record(
+            "cqr", fit_rows, self.split.calib, {"ks_after": None, "density_after": None}
+        ))
 
     def run_sampled(self, lam: Optional[float] = None) -> TrialRecord:
+        return self._recorded("sampled", lambda: self._sampled_record(lam))
+
+    def _sampled_record(self, lam: Optional[float]) -> TrialRecord:
         config = self.config
         sampler = SamplerConfig(
             lam=config.sampler_lambda if lam is None else lam,
@@ -215,31 +239,20 @@ class _TrialBase:
             mode=config.sampler_mode,
             seed=derive_seed(config.seed, self.split_idx, self.rep_idx, "sampler"),
         )
-        try:
-            train_s, val_s, calib_s = sample_edges(
-                self.split.train, self.split.val, self.split.calib, self.subgraph, sampler
-            )
-            if not len(train_s):
-                raise DegenerateCalibrationError("sampling removed every training edge")
-            fit_rows = np.concatenate([train_s, val_s])
-            sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
-            record = self._calibrated_record(
-                "sampled", fit_rows, calib_s,
-                {
-                    "ks_after": _graph_ks(sampled_graph),
-                    "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
-                },
-            )
-            return record
-        except DegenerateCalibrationError as exc:
-            return TrialRecord(
-                arm="sampled",
-                split=self.split_idx,
-                rep=self.rep_idx,
-                seed=self.model_seed,
-                ks_before=self.ks_before,
-                error=str(exc),
-            )
+        train_s, val_s, calib_s = sample_edges(
+            self.split.train, self.split.val, self.split.calib, self.subgraph, sampler
+        )
+        if not len(train_s):
+            raise DegenerateCalibrationError("sampling removed every training edge")
+        fit_rows = np.concatenate([train_s, val_s])
+        sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
+        return self._calibrated_record(
+            "sampled", fit_rows, calib_s,
+            {
+                "ks_after": _graph_ks(sampled_graph),
+                "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
+            },
+        )
 
 
 def _arm_summary(records: Sequence[TrialRecord]) -> Optional[dict]:
@@ -249,17 +262,14 @@ def _arm_summary(records: Sequence[TrialRecord]) -> Optional[dict]:
     coverages = np.array([r.coverage for r in ok])
     lengths = np.array([r.avg_length for r in ok])
     ddof = 1 if len(ok) > 1 else 0
-    # infinite lengths (tiny calibration sets) propagate to the mean; their
-    # spread is reported as nan
-    with np.errstate(invalid="ignore"):
-        return {
-            "mean_coverage": float(coverages.mean()),
-            "std_coverage": float(coverages.std(ddof=ddof)),
-            "mean_length": float(lengths.mean()),
-            "std_length": float(lengths.std(ddof=ddof)),
-            "n_trials": len(ok),
-            "n_degenerate": len(records) - len(ok),
-        }
+    return {
+        "mean_coverage": float(coverages.mean()),
+        "std_coverage": float(coverages.std(ddof=ddof)),
+        "mean_length": float(lengths.mean()),
+        "std_length": float(lengths.std(ddof=ddof)),
+        "n_trials": len(ok),
+        "n_degenerate": len(records) - len(ok),
+    }
 
 
 def _build_summary(trials: Sequence[TrialRecord]) -> dict:
@@ -290,8 +300,9 @@ def _build_summary(trials: Sequence[TrialRecord]) -> dict:
 def run_pipeline(config: RunConfig, graph: Optional[Graph] = None) -> ExperimentReport:
     """Run n_splits x n_reps trials of the full pipeline and aggregate.
 
-    A trial that loses its calibration set to sampling is recorded with an
-    error and skipped by the aggregates; the sweep is never aborted.
+    An arm whose calibration degenerates (sampling removed its edges, or
+    too few calibration edges for alpha give an infinite q_hat) is recorded
+    with an error and skipped by the aggregates; the sweep is never aborted.
     """
     graph = load_graph(config) if graph is None else ensure_features(
         graph, config.feature_dim, derive_seed(config.seed, "features")
@@ -395,8 +406,8 @@ def sweep_cliques(
                 m=m,
                 n=n,
                 mean_ks=_mean(ks_values),
-                mean_length=float(np.mean(lengths)),
-                mean_coverage=float(np.mean(coverages)),
+                mean_length=_mean(lengths),
+                mean_coverage=_mean(coverages),
             )
         )
     return rows
@@ -405,7 +416,7 @@ def sweep_cliques(
 def report_text(report) -> str:
     """A report (or any JSON-ready dict) as JSON text with stable key order."""
     payload = report.to_dict() if hasattr(report, "to_dict") else report
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(report, path) -> None:

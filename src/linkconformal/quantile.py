@@ -95,12 +95,8 @@ def pinball_loss(prediction, target, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _pinball_slope(prediction, target, gamma):
-    # d loss / d prediction; the kink at t == p takes the gamma branch.
-    return np.where(target >= prediction, -gamma, 1.0 - gamma)
-
-
 def _loss_and_grads(arrays, z, y, levels, want_grads=True):
+    # Returns (loss, None) when not want_grads, else (None, gradients).
     w1, b1, w2, b2, w3, b3 = arrays
     pre1 = z @ w1 + b1
     h1 = relu(pre1)
@@ -108,24 +104,21 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True):
     h2 = relu(pre2)
     out = h2 @ w3 + b3
     lo, hi = levels
-    loss = float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi)))
     if not want_grads:
-        return loss, None
-    batch = y.size
-    d_out = np.stack(
-        [_pinball_slope(out[:, 0], y, lo), _pinball_slope(out[:, 1], y, hi)], axis=1
-    ) / batch
+        return float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi))), None
+    # d loss / d prediction per head; the kink at t == p takes the gamma branch.
+    d_out = np.where(y[:, None] >= out, (-lo, -hi), (1.0 - lo, 1.0 - hi)) / y.size
     d_w3 = h2.T @ d_out
     d_b3 = d_out.sum(axis=0)
-    d_h2 = d_out @ w3.T
-    d_pre2 = d_h2 * (pre2 > 0)
+    d_pre2 = d_out @ w3.T
+    d_pre2 *= pre2 > 0
     d_w2 = h1.T @ d_pre2
     d_b2 = d_pre2.sum(axis=0)
-    d_h1 = d_pre2 @ w2.T
-    d_pre1 = d_h1 * (pre1 > 0)
+    d_pre1 = d_pre2 @ w2.T
+    d_pre1 *= pre1 > 0
     d_w1 = z.T @ d_pre1
     d_b1 = d_pre1.sum(axis=0)
-    return loss, [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3]
+    return None, [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3]
 
 
 def fit_quantile_functions(
@@ -163,9 +156,10 @@ def fit_quantile_functions(
     optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
     for _ in range(config.epochs):
         order = rng.permutation(y.size)
+        z_epoch, y_epoch = z[order], y[order]
         for start in range(0, y.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, grads = _loss_and_grads(arrays, z[batch], y[batch], levels)
+            stop = start + config.batch_size
+            _, grads = _loss_and_grads(arrays, z_epoch[start:stop], y_epoch[start:stop], levels)
             optimizer.step(arrays, grads)
     for a in arrays:
         a.flags.writeable = False

@@ -262,3 +262,137 @@ def test_mean_neighbor_variant_trains():
     params = train_link_predictor(sub, split.train, split.val, cfg, seed=44)
     h = encode_nodes(params, sub)
     assert np.all(np.isfinite(h))
+
+
+# --- exact-equality oracles for the training kernels -------------------------
+# The encoder pass, BCE loss/gradients and training loop as they were before
+# the scatter became a sparse product and the validation pass started feeding
+# the next step, kept verbatim. The kernels now must match them bit for bit.
+
+from linkconformal._nn import MomentumSGD, relu
+from linkconformal.model import _as_endpoint_arrays, _bce_loss_and_grads, _init_params, _scorer_logits
+from linkconformal.seeding import derive_rng
+
+
+def reference_encoder_forward(a_hat, features, weights):
+    # Returns (propagated inputs S_l, pre-activations Z_l, activations A_l).
+    activations = [features]
+    propagated = []
+    preacts = []
+    h = features
+    last = len(weights) - 1
+    for l, w in enumerate(weights):
+        s = a_hat @ h
+        z = s @ w
+        h = z if l == last else relu(z)
+        propagated.append(s)
+        preacts.append(z)
+        activations.append(h)
+    return propagated, preacts, activations
+
+
+def reference_bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True):
+    n_enc = len(arrays) - 4
+    enc_weights = arrays[:n_enc]
+    scorer = arrays[n_enc:]
+    propagated, preacts, activations = reference_encoder_forward(a_hat, features, enc_weights)
+    h = activations[-1]
+    zu, zv = h[endpoints[:, 0]], h[endpoints[:, 1]]
+    z = zu * zv
+    logits, pre, hidden = _scorer_logits(scorer, z)
+    # BCE from logits: softplus(logit) - y * logit, numerically stable.
+    loss = float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits))
+    if not want_grads:
+        return loss, None
+    batch = labels.size
+    s = 1.0 / (1.0 + np.exp(-logits))
+    dlogit = (s - labels) / batch
+    w1, b1, w2, b2 = scorer
+    d_b2 = np.array([dlogit.sum()])
+    d_w2 = hidden.T @ dlogit
+    d_hidden = np.outer(dlogit, w2)
+    d_pre = d_hidden * (pre > 0)
+    d_w1 = z.T @ d_pre
+    d_b1 = d_pre.sum(axis=0)
+    d_z = d_pre @ w1.T
+    d_h = np.zeros_like(h)
+    np.add.at(d_h, endpoints[:, 0], d_z * zv)
+    np.add.at(d_h, endpoints[:, 1], d_z * zu)
+    enc_grads = [None] * n_enc
+    d_act = d_h
+    for l in range(n_enc - 1, -1, -1):
+        d_pre_l = d_act if l == n_enc - 1 else d_act * (preacts[l] > 0)
+        enc_grads[l] = propagated[l].T @ d_pre_l
+        if l > 0:
+            d_act = a_hat.T @ (d_pre_l @ enc_weights[l].T)
+    return loss, enc_grads + [d_w1, d_b1, d_w2, d_b2]
+
+
+def reference_train_arrays(subgraph, train, val, config, seed):
+    train_endpoints, train_labels = _as_endpoint_arrays(train)
+    a_hat = normalized_adjacency(subgraph, config.aggregation)
+    features = subgraph.features
+    rng = derive_rng(seed, "train-link-predictor")
+    params = _init_params(rng, features.shape[1], config)
+    arrays = params.param_arrays()
+    optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
+    val_endpoints, val_labels = _as_endpoint_arrays(val) if len(val) else (None, None)
+    best_loss = np.inf
+    best = None
+    for _ in range(config.epochs):
+        order = rng.permutation(train_labels.size)
+        for start in range(0, train_labels.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grads = reference_bce_loss_and_grads(
+                arrays, a_hat, features, train_endpoints[batch], train_labels[batch]
+            )
+            optimizer.step(arrays, grads)
+        if val_labels is not None:
+            val_loss, _ = reference_bce_loss_and_grads(
+                arrays, a_hat, features, val_endpoints, val_labels, want_grads=False
+            )
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best = [a.copy() for a in arrays]
+    if best is None:
+        best = [a.copy() for a in arrays]
+    return best
+
+
+class TestKernelsMatchOracle:
+    @pytest.mark.parametrize("aggregation", ["gcn-normalized", "mean-neighbor"])
+    def test_gradients_with_repeated_endpoints(self, aggregation):
+        sub, split = toy_setup(seed=50)
+        config = ModelConfig(hidden_dim=12, num_layers=3, aggregation=aggregation, scorer_hidden_dim=10)
+        arrays = _init_params(np.random.default_rng(51), 6, config).param_arrays()
+        a_hat = normalized_adjacency(sub, aggregation)
+        endpoints, labels = _as_endpoint_arrays(split.train)
+        # every row twice, a node on both ends of one row, and a hub on many rows
+        endpoints = np.concatenate([endpoints, endpoints, [[3, 3]], np.column_stack([np.zeros(20, int), np.arange(20)])])
+        labels = np.concatenate([labels, labels, [1.0], np.tile([0.0, 1.0], 10)])
+        assert np.bincount(endpoints.ravel()).max() > 20
+        _, grads = _bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels)
+        _, expected = reference_bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels)
+        assert len(grads) == len(expected)
+        for g, e in zip(grads, expected):
+            assert np.array_equal(g, e)
+        loss, none = _bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels, want_grads=False)
+        assert none is None
+        assert loss == reference_bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels, False)[0]
+
+    @pytest.mark.parametrize("batch_size, aggregation, with_val", [
+        (4096, "gcn-normalized", True),  # one batch per epoch
+        (16, "gcn-normalized", True),  # several batches, a ragged last one
+        (16, "mean-neighbor", True),
+        (16, "gcn-normalized", False),  # empty val: final parameters
+    ])
+    def test_trained_parameters(self, batch_size, aggregation, with_val):
+        sub, split = toy_setup(seed=52)
+        config = ModelConfig(hidden_dim=12, num_layers=2, aggregation=aggregation, epochs=12,
+                             learning_rate=0.05, batch_size=batch_size, scorer_hidden_dim=10)
+        val = split.val if with_val else split.val[:0]
+        assert split.train.shape[0] % 16 != 0
+        params = train_link_predictor(sub, split.train, val, config, seed=53)
+        expected = reference_train_arrays(sub, split.train, val, config, seed=53)
+        for got, want in zip(params.param_arrays(), expected):
+            assert np.array_equal(got, want)

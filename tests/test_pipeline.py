@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from linkconformal.model import ModelConfig
 from linkconformal.pipeline import (
     TrialRecord,
     load_graph,
+    report_text,
     run_pipeline,
     sweep_cliques,
     sweep_lambda,
@@ -69,6 +71,31 @@ class TestRunPipeline:
         if "sampled" in report.summary["arms"]:
             assert report.summary["arms"]["sampled"]["n_degenerate"] == 1
 
+    def test_infinite_q_hat_recorded_as_error(self):
+        # 50 nodes leave the sampled arm 2 calibration edges; at alpha 0.1 a
+        # finite q_hat needs at least 9
+        report = run_pipeline(tiny_config(synth_nodes=50, clique_n=0, n_splits=2))
+        sampled = [t for t in report.trials if t.arm == "sampled"]
+        assert len(sampled) == 2
+        for t in sampled:
+            assert t.q_hat is None and t.avg_length is None
+            assert "K=2" in t.error and "infinite q_hat at alpha=0.1" in t.error
+        for t in report.trials:
+            assert t.error is not None or (math.isfinite(t.q_hat) and math.isfinite(t.avg_length))
+        assert "sampled" not in report.summary["arms"]
+
+    def test_report_text_is_standard_json(self):
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        report = run_pipeline(tiny_config(synth_nodes=50, clique_n=0, n_splits=2))
+        parsed = json.loads(report_text(report), parse_constant=reject)
+        assert parsed["summary"]["arms"]["cqr"]["n_trials"] == 2
+        with pytest.raises(ValueError):
+            report_text({"q_hat": math.inf})
+        with pytest.raises(ValueError):
+            report_text({"std_length": math.nan})
+
     def test_custom_graph_accepted(self):
         from linkconformal.graph import generate_latent_powerlaw_graph
         g = generate_latent_powerlaw_graph(300, 2.5, 2, 6, seed=1)
@@ -113,6 +140,12 @@ class TestSweepCliques:
         cfg = tiny_config(synth_nodes=800, run_sampled_arm=False)
         rows = sweep_cliques(cfg, [(6, 4), (20, 4)], n_variants=2)
         assert rows[1].mean_ks > rows[0].mean_ks
+
+    def test_errored_plain_arm_gives_none(self):
+        # at 30 nodes every variant's plain arm has too few calibration edges
+        row = sweep_cliques(tiny_config(synth_nodes=30, clique_n=0), [(2, 0)], n_variants=2)[0]
+        assert row.mean_length is None and row.mean_coverage is None
+        assert row.mean_ks is not None
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -163,3 +163,96 @@ class TestModelIO:
                 w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2),
                 w3=np.zeros((2, 2)), b3=np.zeros(2), levels=(0.9, 0.1),
             )
+
+
+# --- exact-equality oracle for the quantile fit ------------------------------
+# The step and loop as they were before the discarded loss was dropped from
+# the gradient path and batches were sliced from one gather per epoch, kept
+# verbatim. The fit now must match them bit for bit.
+
+from linkconformal._nn import MomentumSGD, init_weight, relu
+from linkconformal.quantile import _loss_and_grads
+from linkconformal.seeding import derive_rng
+
+
+def _pinball_slope(prediction, target, gamma):
+    # d loss / d prediction; the kink at t == p takes the gamma branch.
+    return np.where(target >= prediction, -gamma, 1.0 - gamma)
+
+
+def reference_loss_and_grads(arrays, z, y, levels, want_grads=True):
+    w1, b1, w2, b2, w3, b3 = arrays
+    pre1 = z @ w1 + b1
+    h1 = relu(pre1)
+    pre2 = h1 @ w2 + b2
+    h2 = relu(pre2)
+    out = h2 @ w3 + b3
+    lo, hi = levels
+    loss = float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi)))
+    if not want_grads:
+        return loss, None
+    batch = y.size
+    d_out = np.stack(
+        [_pinball_slope(out[:, 0], y, lo), _pinball_slope(out[:, 1], y, hi)], axis=1
+    ) / batch
+    d_w3 = h2.T @ d_out
+    d_b3 = d_out.sum(axis=0)
+    d_h2 = d_out @ w3.T
+    d_pre2 = d_h2 * (pre2 > 0)
+    d_w2 = h1.T @ d_pre2
+    d_b2 = d_pre2.sum(axis=0)
+    d_h1 = d_pre2 @ w2.T
+    d_pre1 = d_h1 * (pre1 > 0)
+    d_w1 = z.T @ d_pre1
+    d_b1 = d_pre1.sum(axis=0)
+    return loss, [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3]
+
+
+def reference_fit_arrays(z, y, alpha, config, seed):
+    levels = (alpha / 2.0, 1.0 - alpha / 2.0)
+    rng = derive_rng(seed, "fit-quantiles")
+    dim, k = z.shape[1], config.hidden_dim
+    arrays = [
+        init_weight(rng, dim, (dim, k)),
+        np.zeros(k),
+        init_weight(rng, k, (k, k)),
+        np.zeros(k),
+        init_weight(rng, k, (k, 2)),
+        np.zeros(2),
+    ]
+    optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
+    for _ in range(config.epochs):
+        order = rng.permutation(y.size)
+        for start in range(0, y.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grads = reference_loss_and_grads(arrays, z[batch], y[batch], levels)
+            optimizer.step(arrays, grads)
+    return arrays
+
+
+class TestFitMatchesOracle:
+    def test_fitted_weights_with_ragged_last_batch(self):
+        rng = np.random.default_rng(15)
+        z = rng.standard_normal((203, 5))
+        y = (rng.random(203) < 0.5).astype(float)
+        cfg = QuantileConfig(epochs=40, learning_rate=2e-2, batch_size=32, hidden_dim=9)
+        assert y.size % cfg.batch_size != 0
+        model = fit_quantile_functions(z, y, 0.1, cfg, seed=16)
+        expected = reference_fit_arrays(z, y, 0.1, cfg, seed=16)
+        for got, want in zip(model.param_arrays(), expected):
+            assert np.array_equal(got, want)
+
+    def test_step_matches_and_loss_path_is_loss_only(self):
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((50, 4))
+        y = rng.random(50)
+        model = fit_quantile_functions(z, y, 0.2, FAST, seed=18)
+        arrays = model.param_arrays()
+        loss, grads = _loss_and_grads(arrays, z, y, model.levels, want_grads=False)
+        assert grads is None
+        assert loss == reference_loss_and_grads(arrays, z, y, model.levels, want_grads=False)[0]
+        _, grads = _loss_and_grads(arrays, z, y, model.levels)
+        _, expected = reference_loss_and_grads(arrays, z, y, model.levels)
+        for g, e in zip(grads, expected):
+            assert np.array_equal(g, e)
+        assert quantile_gradient_check(model, z, y, step=1e-6, n_coords=60, seed=1) < 1e-4
