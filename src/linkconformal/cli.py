@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .config import build_run_config, parse_config_text
+from .config import _parse_floats, build_run_config, parse_config_text
 from .graph import degree_sequence, generate_powerlaw_graph, inject_cliques, load_edge_list
 from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv, write_report
 from .powerlaw import fit_power_law
@@ -65,17 +65,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_lambdas(text: str):
-    return [float(t) for t in text.replace(",", " ").split()]
-
-
-def _cmd_sweep_lambda(args) -> int:
-    rows = sweep_lambda(_run_config(args), _parse_lambdas(args.lambdas))
+def _emit_rows(rows, args) -> int:
+    """Write sweep rows as CSV (when --csv is given) and as ``{"rows": [...]}`` JSON."""
     payload = {"rows": [asdict(r) for r in rows]}
     if args.csv:
         write_csv(rows, args.csv)
     _emit(payload, args.out)
     return 0
+
+
+def _cmd_sweep_lambda(args) -> int:
+    return _emit_rows(sweep_lambda(_run_config(args), _parse_floats(args.lambdas)), args)
 
 
 def _parse_grid(text: str):
@@ -88,11 +88,7 @@ def _parse_grid(text: str):
 
 def _cmd_sweep_cliques(args) -> int:
     rows = sweep_cliques(_run_config(args), _parse_grid(args.grid), n_variants=args.variants)
-    payload = {"rows": [asdict(r) for r in rows]}
-    if args.csv:
-        write_csv(rows, args.csv)
-    _emit(payload, args.out)
-    return 0
+    return _emit_rows(rows, args)
 
 
 def _cmd_synth(args) -> int:
@@ -116,13 +112,7 @@ def _cmd_fit_powerlaw(args) -> int:
     with open(args.edge_list, encoding="utf-8") as fh:
         graph = load_edge_list(fh.read())
     fit = fit_power_law(degree_sequence(graph, drop_isolated=True))
-    payload = {
-        "beta_hat": fit.beta_hat,
-        "d_min": fit.d_min,
-        "ks": fit.ks,
-        "tail_size": fit.tail_size,
-    }
-    _emit(payload, args.out)
+    _emit(asdict(fit), args.out)
     return 0
 
 

@@ -12,6 +12,7 @@ from typing import Optional
 
 from .model import ModelConfig
 from .quantile import QuantileConfig
+from .sampling import SamplerConfig
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class RunConfig:
             raise ValueError("n_splits and n_reps must be >= 1")
         if self.feature_mode not in ("random", "structural"):
             raise ValueError(f"feature_mode must be 'random' or 'structural', got {self.feature_mode!r}")
+        # The sampler's own checks, run before any trial trains a model.
+        SamplerConfig(lam=self.sampler_lambda, agg=self.sampler_agg, mode=self.sampler_mode)
 
     @property
     def n_trials(self) -> int:
@@ -59,7 +62,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean from {text!r}")
 
 
-def _parse_ratios(text: str) -> tuple:
+def _parse_floats(text: str) -> tuple:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
@@ -70,7 +73,7 @@ def _parse_opt_int(text: str):
 # key -> (coercion, config section, field name); section None means RunConfig itself.
 _KEY_TABLE = {
     "alpha": (float, None, "alpha"),
-    "ratios": (_parse_ratios, None, "ratios"),
+    "ratios": (_parse_floats, None, "ratios"),
     "seed": (int, None, "seed"),
     "splits": (int, None, "n_splits"),
     "reps": (int, None, "n_reps"),

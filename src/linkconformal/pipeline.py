@@ -175,63 +175,28 @@ class _TrialBase:
         """Edge embeddings and float labels of (k, 3) labeled rows."""
         return edge_embeddings(self.node_embeddings, rows[:, :2]), rows[:, 2].astype(np.float64)
 
-    def _calibrated_record(self, arm, train_val, calib, extra):
-        z_fit, y_fit = self.embed(train_val)
-        qmodel = fit_quantile_functions(
-            z_fit,
-            y_fit,
-            self.config.alpha,
-            self.config.quantile,
-            seed=derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}"),
-        )
-        z_calib, y_calib = self.embed(calib)
-        z_test, y_test = self.test_embedded
-        intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, self.config.alpha)
-        if q_hat == math.inf:
-            alpha = self.config.alpha
-            raise DegenerateCalibrationError(
-                f"a calibration set of K={len(calib)} edges gives an infinite q_hat at "
-                f"alpha={alpha}: K >= (1 - alpha) / alpha = {(1.0 - alpha) / alpha:g} is needed"
-            )
-        report = evaluate(
-            intervals, y_test, q_hat=q_hat, alpha=self.config.alpha, calib_size=len(calib)
-        )
-        return TrialRecord(
-            arm=arm,
-            split=self.split_idx,
-            rep=self.rep_idx,
-            seed=self.model_seed,
-            coverage=report.empirical_coverage,
-            avg_length=report.avg_interval_length,
-            q_hat=q_hat,
-            ks_before=self.ks_before,
-            **extra,
-        )
-
-    def _recorded(self, arm, run) -> TrialRecord:
-        """``run()``, or the arm's error record when calibration degenerates."""
+    def run_arm(self, arm: str, lam: Optional[float] = None) -> TrialRecord:
+        """The record of arm "cqr" or "sampled" (at ``lam``, default the configured
+        lambda); an error record when its calibration degenerates."""
+        if arm not in ("cqr", "sampled"):
+            raise ValueError(f"arm must be 'cqr' or 'sampled', got {arm!r}")
+        if arm == "cqr" and lam is not None:
+            raise ValueError("lam applies only to the sampled arm")
+        shared = dict(arm=arm, split=self.split_idx, rep=self.rep_idx, seed=self.model_seed,
+                      ks_before=self.ks_before)
+        split = self.split
         try:
-            return run()
+            if arm == "cqr":
+                fit_rows, calib, extra = np.concatenate([split.train, split.val]), split.calib, {}
+            else:
+                fit_rows, calib, extra = self._sampled_inputs(lam)
+            fields = self._calibrate(arm, fit_rows, calib)
         except DegenerateCalibrationError as exc:
-            return TrialRecord(
-                arm=arm,
-                split=self.split_idx,
-                rep=self.rep_idx,
-                seed=self.model_seed,
-                ks_before=self.ks_before,
-                error=str(exc),
-            )
+            return TrialRecord(**shared, error=str(exc))
+        return TrialRecord(**shared, **fields, **extra)
 
-    def run_cqr(self) -> TrialRecord:
-        fit_rows = np.concatenate([self.split.train, self.split.val])
-        return self._recorded("cqr", lambda: self._calibrated_record(
-            "cqr", fit_rows, self.split.calib, {"ks_after": None, "density_after": None}
-        ))
-
-    def run_sampled(self, lam: Optional[float] = None) -> TrialRecord:
-        return self._recorded("sampled", lambda: self._sampled_record(lam))
-
-    def _sampled_record(self, lam: Optional[float]) -> TrialRecord:
+    def _sampled_inputs(self, lam: Optional[float]):
+        """Resampled fit rows and calibration rows, and the sampled graph's fields."""
         config = self.config
         sampler = SamplerConfig(
             lam=config.sampler_lambda if lam is None else lam,
@@ -246,13 +211,29 @@ class _TrialBase:
             raise DegenerateCalibrationError("sampling removed every training edge")
         fit_rows = np.concatenate([train_s, val_s])
         sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
-        return self._calibrated_record(
-            "sampled", fit_rows, calib_s,
-            {
-                "ks_after": _graph_ks(sampled_graph),
-                "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
-            },
-        )
+        return fit_rows, calib_s, {
+            "ks_after": _graph_ks(sampled_graph),
+            "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
+        }
+
+    def _calibrate(self, arm: str, fit_rows, calib) -> dict:
+        """Fit the arm's quantile band on ``fit_rows``, calibrate it on ``calib``
+        and score the test edges."""
+        alpha = self.config.alpha
+        z_fit, y_fit = self.embed(fit_rows)
+        seed = derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}")
+        qmodel = fit_quantile_functions(z_fit, y_fit, alpha, self.config.quantile, seed=seed)
+        z_calib, y_calib = self.embed(calib)
+        z_test, y_test = self.test_embedded
+        intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, alpha)
+        if q_hat == math.inf:
+            raise DegenerateCalibrationError(
+                f"a calibration set of K={len(calib)} edges gives an infinite q_hat at "
+                f"alpha={alpha}: K >= (1 - alpha) / alpha = {(1.0 - alpha) / alpha:g} is needed"
+            )
+        report = evaluate(intervals, y_test, q_hat=q_hat, alpha=alpha, calib_size=len(calib))
+        return dict(coverage=report.empirical_coverage, avg_length=report.avg_interval_length,
+                    q_hat=q_hat)
 
 
 def _arm_summary(records: Sequence[TrialRecord]) -> Optional[dict]:
@@ -297,6 +278,22 @@ def _build_summary(trials: Sequence[TrialRecord]) -> dict:
     return summary
 
 
+def _input_graph(config: RunConfig, graph: Optional[Graph]) -> Graph:
+    """``graph`` with features attached, or the configured graph when None."""
+    if graph is None:
+        return load_graph(config)
+    return ensure_features(graph, config.feature_dim, derive_seed(config.seed, "features"))
+
+
+def _trials(config: RunConfig, graph: Optional[Graph]):
+    """One trained ``_TrialBase`` per (split, rep), all on one edge pool."""
+    graph = _input_graph(config, graph)
+    positives, negatives = edge_pool(graph, config)
+    for split_idx in range(config.n_splits):
+        for rep_idx in range(config.n_reps):
+            yield _TrialBase(graph, positives, negatives, config, split_idx, rep_idx)
+
+
 def run_pipeline(config: RunConfig, graph: Optional[Graph] = None) -> ExperimentReport:
     """Run n_splits x n_reps trials of the full pipeline and aggregate.
 
@@ -304,17 +301,11 @@ def run_pipeline(config: RunConfig, graph: Optional[Graph] = None) -> Experiment
     too few calibration edges for alpha give an infinite q_hat) is recorded
     with an error and skipped by the aggregates; the sweep is never aborted.
     """
-    graph = load_graph(config) if graph is None else ensure_features(
-        graph, config.feature_dim, derive_seed(config.seed, "features")
-    )
-    positives, negatives = edge_pool(graph, config)
     trials: List[TrialRecord] = []
-    for split_idx in range(config.n_splits):
-        for rep_idx in range(config.n_reps):
-            base = _TrialBase(graph, positives, negatives, config, split_idx, rep_idx)
-            trials.append(base.run_cqr())
-            if config.run_sampled_arm:
-                trials.append(base.run_sampled())
+    for base in _trials(config, graph):
+        trials.append(base.run_arm("cqr"))
+        if config.run_sampled_arm:
+            trials.append(base.run_arm("sampled"))
     return ExperimentReport(config_echo(config), tuple(trials), _build_summary(trials))
 
 
@@ -322,20 +313,19 @@ def sweep_lambda(config: RunConfig, lambdas: Sequence[float], graph: Optional[Gr
     """One sampling-arm run per lambda, reusing each trial's base model.
 
     The base model does not depend on lambda, so it is trained once per
-    trial and shared across the whole grid.
+    trial and shared across the whole grid. The grid is checked before any
+    training: its values must be distinct and valid sampler lambdas.
     """
     if not lambdas:
         raise ValueError("sweep_lambda needs at least one lambda value")
-    graph = load_graph(config) if graph is None else ensure_features(
-        graph, config.feature_dim, derive_seed(config.seed, "features")
-    )
-    positives, negatives = edge_pool(graph, config)
+    if len(set(lambdas)) < len(lambdas):
+        raise ValueError(f"sweep_lambda needs distinct lambda values, got {list(lambdas)}")
+    for lam in lambdas:
+        SamplerConfig(lam=lam, agg=config.sampler_agg, mode=config.sampler_mode)
     per_lambda: dict = {lam: [] for lam in lambdas}
-    for split_idx in range(config.n_splits):
-        for rep_idx in range(config.n_reps):
-            base = _TrialBase(graph, positives, negatives, config, split_idx, rep_idx)
-            for lam in lambdas:
-                per_lambda[lam].append(base.run_sampled(lam=lam))
+    for base in _trials(config, graph):
+        for lam in lambdas:
+            per_lambda[lam].append(base.run_arm("sampled", lam))
     rows = []
     for lam in lambdas:
         records = per_lambda[lam]
@@ -374,42 +364,25 @@ def sweep_cliques(
         raise ValueError("sweep_cliques needs a non-empty grid")
     if n_variants < 1:
         raise ValueError(f"n_variants must be >= 1, got {n_variants}")
-    base_config = replace(config, clique_m=0, clique_n=0, n_splits=1, n_reps=1)
-    base_graph = load_graph(base_config) if base_graph is None else ensure_features(
-        base_graph, config.feature_dim, derive_seed(config.seed, "features")
-    )
+    base_graph = _input_graph(replace(config, clique_m=0, clique_n=0), base_graph)
+    variant_configs = [
+        replace(config, seed=derive_seed(config.seed, "clique-run", variant), n_splits=1,
+                n_reps=1, run_sampled_arm=False)
+        for variant in range(n_variants)
+    ]
     rows = []
     for m, n in grid:
         ks_values, lengths, coverages = [], [], []
-        for variant in range(n_variants):
-            if n > 0:
-                variant_graph = inject_cliques(
-                    base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
-                )
-            else:
-                variant_graph = base_graph
-            variant_config = replace(
-                config,
-                seed=derive_seed(config.seed, "clique-run", variant),
-                n_splits=1,
-                n_reps=1,
-                run_sampled_arm=False,
+        for variant, variant_config in enumerate(variant_configs):
+            variant_graph = base_graph if n <= 0 else inject_cliques(
+                base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
             )
-            positives, negatives = edge_pool(variant_graph, variant_config)
-            base = _TrialBase(variant_graph, positives, negatives, variant_config, 0, 0)
-            record = base.run_cqr()
+            record = run_pipeline(variant_config, variant_graph).trials[0]
             ks_values.append(_graph_ks(variant_graph))
             lengths.append(record.avg_length)
             coverages.append(record.coverage)
-        rows.append(
-            CliqueSweepRow(
-                m=m,
-                n=n,
-                mean_ks=_mean(ks_values),
-                mean_length=_mean(lengths),
-                mean_coverage=_mean(coverages),
-            )
-        )
+        rows.append(CliqueSweepRow(m=m, n=n, mean_ks=_mean(ks_values), mean_length=_mean(lengths),
+                                   mean_coverage=_mean(coverages)))
     return rows
 
 

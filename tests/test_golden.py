@@ -1,18 +1,21 @@
 """Pinned fixed-seed reports: every refactor that claims to preserve
 behaviour must reproduce them byte for byte.
 
-The files under ``tests/golden/`` were written by ``write_report``. Rewrite
-them only in a change that means to alter reports, and say why:
+The files under ``tests/golden/`` were written by ``write_report``: two
+``run_pipeline`` reports, and one ``{"rows": [...]}`` payload per sweep,
+the form the CLI writes. Rewrite them only in a change that means to alter
+reports, and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from linkconformal.model import ModelConfig
-from linkconformal.pipeline import run_pipeline, write_report
+from linkconformal.pipeline import run_pipeline, sweep_cliques, sweep_lambda, write_report
 from linkconformal.quantile import QuantileConfig
 
 from test_pipeline import tiny_config
@@ -32,20 +35,31 @@ def rejection_config():
     )
 
 
+def _rows(rows):
+    return {"rows": [asdict(r) for r in rows]}
+
+
 GOLDEN = {
-    "tiny_enumeration.json": tiny_config,
-    "rejection_3000.json": rejection_config,
+    "tiny_enumeration.json": lambda: run_pipeline(tiny_config()),
+    "rejection_3000.json": lambda: run_pipeline(rejection_config()),
+    "sweep_lambda.json": lambda: _rows(sweep_lambda(
+        tiny_config(n_splits=2, sampler_mode="directional"), [0.5, 1.0, 4.0]
+    )),
+    # (5, 0) and (9, 0) are both the uninjected base graph.
+    "sweep_cliques.json": lambda: _rows(sweep_cliques(
+        tiny_config(run_sampled_arm=False), [(5, 0), (8, 2), (9, 0)], n_variants=2
+    )),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden(name, tmp_path):
     path = tmp_path / name
-    write_report(run_pipeline(GOLDEN[name]()), path)
+    write_report(GOLDEN[name](), path)
     assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, make_config in GOLDEN.items():
-        write_report(run_pipeline(make_config()), GOLDEN_DIR / name)
+    for name, make_report in GOLDEN.items():
+        write_report(make_report(), GOLDEN_DIR / name)

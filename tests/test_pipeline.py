@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import linkconformal.pipeline as pipeline_mod
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
 from linkconformal.graph import Graph
 from linkconformal.model import ModelConfig
@@ -33,6 +34,20 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
+
+
+@pytest.fixture
+def link_trainings(monkeypatch):
+    """Arguments of every link-model training the pipeline starts."""
+    calls = []
+    train = pipeline_mod.train_link_predictor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "train_link_predictor", counted)
+    return calls
 
 
 class TestRunPipeline:
@@ -103,6 +118,13 @@ class TestRunPipeline:
         assert report.trials
 
 
+    @pytest.mark.parametrize("arm, lam", [("CQR", None), ("plain", None), ("cqr", 1.0)])
+    def test_bad_arm_arguments_rejected(self, arm, lam):
+        base = next(pipeline_mod._trials(tiny_config(), None))
+        with pytest.raises(ValueError):
+            base.run_arm(arm, lam)
+
+
 class TestSweepLambda:
     def test_single_lambda_matches_run_pipeline(self):
         cfg = tiny_config(n_splits=2)
@@ -126,6 +148,17 @@ class TestSweepLambda:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_lambda(tiny_config(), [])
+
+    @pytest.mark.parametrize("lambdas", [[1.0, 1.0], [0.5, 1, 1.0], [0.5, -1.0]])
+    def test_bad_grid_rejected_before_training(self, lambdas, link_trainings):
+        with pytest.raises(ValueError):
+            sweep_lambda(tiny_config(n_splits=2), lambdas)
+        assert link_trainings == []
+
+    def test_one_link_model_per_trial(self, link_trainings):
+        rows = sweep_lambda(tiny_config(n_splits=2), [0.5, 1.0])
+        assert [r.n_trials for r in rows] == [2, 2]
+        assert len(link_trainings) == 2
 
 
 class TestSweepCliques:
@@ -253,6 +286,18 @@ class TestConfig:
             RunConfig(n_splits=0)
         with pytest.raises(ValueError):
             RunConfig(feature_mode="spectral")
+
+    @pytest.mark.parametrize("overrides", [
+        {"sampler_mode": "bogus"}, {"sampler_agg": "mean"}, {"sampler_lambda": -1.0},
+    ])
+    def test_sampler_settings_rejected_before_training(self, overrides, link_trainings):
+        with pytest.raises(ValueError):
+            run_pipeline(tiny_config(**overrides))
+        assert link_trainings == []
+
+    def test_file_sampler_mode_validated(self):
+        with pytest.raises(ValueError, match="mode"):
+            build_run_config({"sampler_mode": "bogus"})
 
 
 class TestLoadGraph:
