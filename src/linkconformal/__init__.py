@@ -19,7 +19,6 @@ from .errors import CapacityError, DegenerateCalibrationError, EdgeListParseErro
 from .graph import (
     EdgeSplit,
     Graph,
-    LabeledEdge,
     degree_sequence,
     ensure_features,
     generate_latent_powerlaw_graph,
@@ -34,9 +33,7 @@ from .graph import (
 from .model import (
     ModelConfig,
     ModelParams,
-    edge_embedding,
     edge_embeddings,
-    edge_score,
     encode_nodes,
     gradient_check,
     structural_features,
@@ -59,14 +56,12 @@ from .powerlaw import (
     hurwitz_zeta,
     ks_statistic,
     powerlaw_cdf,
-    powerlaw_pmf,
 )
 from .quantile import (
     QuantileConfig,
     QuantileModel,
     fit_quantile_functions,
     pinball_loss,
-    predict_quantiles,
     quantile_gradient_check,
 )
 from .sampling import (

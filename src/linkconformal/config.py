@@ -43,6 +43,10 @@ class RunConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_splits < 1 or self.n_reps < 1:
             raise ValueError("n_splits and n_reps must be >= 1")
+        if self.clique_n < 0:
+            raise ValueError(f"clique_n must be >= 0, got {self.clique_n}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.feature_mode not in ("random", "structural"):
             raise ValueError(f"feature_mode must be 'random' or 'structural', got {self.feature_mode!r}")
         # The sampler's own checks, run before any trial trains a model.

@@ -24,10 +24,6 @@ _CEIL_EPS = 1e-9
 class ConformalReport:
     empirical_coverage: float
     avg_interval_length: float
-    q_hat: float
-    alpha: float
-    calib_size: int
-    test_size: int
 
 
 def _check_ordered(lower: np.ndarray, upper: np.ndarray, what: str) -> None:
@@ -82,13 +78,7 @@ def prediction_interval(lower, upper, q_hat: float) -> np.recarray:
     return np.rec.fromarrays([lo, hi], names="lower,upper")
 
 
-def evaluate(
-    intervals: np.recarray,
-    labels,
-    q_hat: float = math.nan,
-    alpha: float = math.nan,
-    calib_size: int = 0,
-) -> ConformalReport:
+def evaluate(intervals: np.recarray, labels) -> ConformalReport:
     """Empirical coverage (closed endpoints) and average interval length."""
     labels = np.asarray(labels, dtype=np.float64)
     if len(intervals) != labels.size:
@@ -98,14 +88,7 @@ def evaluate(
     lower, upper = intervals.lower, intervals.upper
     _check_ordered(lower, upper, "interval")
     covered = int(np.count_nonzero((lower <= labels) & (labels <= upper)))
-    return ConformalReport(
-        empirical_coverage=covered / labels.size,
-        avg_interval_length=float(np.mean(upper - lower)),
-        q_hat=q_hat,
-        alpha=alpha,
-        calib_size=calib_size,
-        test_size=int(labels.size),
-    )
+    return ConformalReport(covered / labels.size, float(np.mean(upper - lower)))
 
 
 def conformalize(

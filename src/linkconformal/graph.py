@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,12 +23,6 @@ from .seeding import derive_rng
 # Below this many node pairs, negative sampling enumerates all non-edges;
 # above it, rejection sampling is used.
 _ENUMERATION_LIMIT = 4_000_000
-
-
-class LabeledEdge(NamedTuple):
-    u: int
-    v: int
-    label: int  # 1 = positive link, 0 = non-existent link
 
 
 def as_edge_rows(edges, width: Optional[int] = None) -> np.ndarray:

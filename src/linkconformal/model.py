@@ -188,15 +188,6 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
     return _encoder_forward(a_hat, a_hat @ graph.features, params.encoder_weights)[2]
 
 
-def edge_embedding(h_u: np.ndarray, h_v: np.ndarray) -> np.ndarray:
-    """Symmetric edge embedding: elementwise product of the endpoints."""
-    h_u = np.asarray(h_u, dtype=np.float64)
-    h_v = np.asarray(h_v, dtype=np.float64)
-    if h_u.shape != h_v.shape:
-        raise ValueError(f"endpoint dims differ: {h_u.shape} vs {h_v.shape}")
-    return h_u * h_v
-
-
 def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     """Batch edge embeddings for an (E, 2) endpoint array."""
     endpoints = np.asarray(endpoints, dtype=np.int64)
@@ -208,19 +199,6 @@ def _scorer_logits(params_arrays, z):
     pre = z @ w1 + b1
     hidden = relu(pre)
     return hidden @ w2 + b2[0], pre, hidden
-
-
-def edge_score(params: ModelParams, z: np.ndarray) -> float:
-    """Scorer output for one edge embedding, strictly inside (0, 1)."""
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("edge embedding must be finite")
-    logit, _, _ = _scorer_logits(
-        (params.scorer_w1, params.scorer_b1, params.scorer_w2, params.scorer_b2),
-        z.reshape(1, -1),
-    )
-    s = 1.0 / (1.0 + np.exp(-logit[0]))
-    return float(np.clip(s, 1e-15, 1.0 - 1e-15))
 
 
 def _scatter_rows(num_rows, index, values):
@@ -364,8 +342,6 @@ def gradient_check(
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic BCE gradients and central differences."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     if graph.features is None:
         raise ValueError("graph has no features; call ensure_features first")
     endpoints, labels = _as_endpoint_arrays(batch)

@@ -231,7 +231,7 @@ class _TrialBase:
                 f"a calibration set of K={len(calib)} edges gives an infinite q_hat at "
                 f"alpha={alpha}: K >= (1 - alpha) / alpha = {(1.0 - alpha) / alpha:g} is needed"
             )
-        report = evaluate(intervals, y_test, q_hat=q_hat, alpha=alpha, calib_size=len(calib))
+        report = evaluate(intervals, y_test)
         return dict(coverage=report.empirical_coverage, avg_length=report.avg_interval_length,
                     q_hat=q_hat)
 

@@ -93,18 +93,6 @@ def hurwitz_zeta(beta: float, a):
     return float(out) if np.ndim(a) == 0 else out
 
 
-def powerlaw_pmf(d, beta: float, d_min: int):
-    """Probability of degree d under the discrete power law with cutoff d_min.
-
-    Pr(d) = d^-beta / zeta(beta, d_min) for integer d >= d_min.
-    """
-    d_arr = np.asarray(d, dtype=np.float64)
-    if np.any(d_arr < d_min):
-        raise ValueError(f"degree below cutoff: pmf is defined for d >= {d_min}")
-    out = d_arr ** (-beta) / hurwitz_zeta(beta, float(d_min))
-    return float(out) if np.ndim(d) == 0 else out
-
-
 def powerlaw_cdf(d, beta: float, d_min: int):
     """Model CDF Pr(D <= d | D >= d_min) = 1 - zeta(beta, d+1)/zeta(beta, d_min)."""
     d_arr = np.asarray(d, dtype=np.float64)

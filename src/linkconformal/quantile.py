@@ -166,12 +166,6 @@ def fit_quantile_functions(
     return QuantileModel(*arrays, levels=levels)
 
 
-def predict_quantiles(model: QuantileModel, z) -> Tuple[float, float]:
-    """(lower, upper) band for one embedding, crossing repaired by sorting."""
-    band = model.quantiles(np.asarray(z, dtype=np.float64).reshape(1, -1))[0]
-    return float(band[0]), float(band[1])
-
-
 def quantile_gradient_check(
     model: QuantileModel,
     embeddings,
@@ -185,8 +179,6 @@ def quantile_gradient_check(
     Meaningful away from the loss kinks: keep |prediction - target| and the
     hidden pre-activations clear of ~step for every sample.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     z = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
     arrays = [a.copy() for a in model.param_arrays()]

@@ -6,7 +6,6 @@ from linkconformal.errors import CapacityError, EdgeListParseError
 from linkconformal.graph import (
     EdgeSplit,
     Graph,
-    LabeledEdge,
     degree_sequence,
     ensure_features,
     generate_latent_powerlaw_graph,
@@ -242,8 +241,8 @@ class TestEdgeSplitType:
     def test_rejects_duplicates_across_subsets(self):
         with pytest.raises(ValueError):
             EdgeSplit(
-                train=(LabeledEdge(0, 1, 1), LabeledEdge(0, 2, 0)),
-                val=(LabeledEdge(1, 0, 1), LabeledEdge(0, 3, 0)),
+                train=((0, 1, 1), (0, 2, 0)),
+                val=((1, 0, 1), (0, 3, 0)),
                 calib=(),
                 test=(),
             )
@@ -251,7 +250,7 @@ class TestEdgeSplitType:
     def test_rejects_imbalance(self):
         with pytest.raises(ValueError):
             EdgeSplit(
-                train=(LabeledEdge(0, 1, 1), LabeledEdge(1, 2, 1), LabeledEdge(2, 3, 1)),
+                train=((0, 1, 1), (1, 2, 1), (2, 3, 1)),
                 val=(),
                 calib=(),
                 test=(),
@@ -260,12 +259,11 @@ class TestEdgeSplitType:
 
 class TestTrainingSubgraph:
     def make_split(self):
-        train = (LabeledEdge(0, 1, 1), LabeledEdge(1, 2, 1), LabeledEdge(2, 3, 1),
-                 LabeledEdge(3, 4, 1), LabeledEdge(0, 5, 0), LabeledEdge(0, 6, 0),
-                 LabeledEdge(0, 7, 0), LabeledEdge(1, 7, 0))
-        val = (LabeledEdge(4, 5, 1), LabeledEdge(2, 7, 0))
-        calib = (LabeledEdge(5, 6, 1), LabeledEdge(3, 7, 0))
-        test = (LabeledEdge(6, 7, 1), LabeledEdge(4, 7, 0))
+        train = ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
+                 (0, 5, 0), (0, 6, 0), (0, 7, 0), (1, 7, 0))
+        val = ((4, 5, 1), (2, 7, 0))
+        calib = ((5, 6, 1), (3, 7, 0))
+        test = ((6, 7, 1), (4, 7, 0))
         return EdgeSplit(train, val, calib, test)
 
     def test_includes_train_val_positives_only(self):
@@ -277,7 +275,7 @@ class TestTrainingSubgraph:
 
     def test_empty_warns(self):
         g = Graph(4, frozenset({(0, 1)}))
-        split = EdgeSplit((LabeledEdge(0, 2, 0),), (), (LabeledEdge(0, 1, 1), LabeledEdge(0, 3, 0)), ())
+        split = EdgeSplit(((0, 2, 0),), (), ((0, 1, 1), (0, 3, 0)), ())
         with pytest.warns(UserWarning):
             sub = training_subgraph(g, split)
         assert sub.num_edges == 0

@@ -5,8 +5,8 @@ from linkconformal.graph import Graph, ensure_features, generate_powerlaw_graph,
 from linkconformal.model import (
     ModelConfig,
     ModelParams,
-    edge_embedding,
-    edge_score,
+    _scorer_logits,
+    edge_embeddings,
     encode_nodes,
     gradient_check,
     normalized_adjacency,
@@ -91,19 +91,23 @@ class TestNormalizedAdjacency:
 
 class TestEdgeEmbedding:
     def test_ones(self):
-        assert np.allclose(edge_embedding(np.ones(4), np.ones(4)), 1.0)
+        assert np.allclose(edge_embeddings(np.ones((2, 4)), [[0, 1]]), 1.0)
 
     def test_zero(self):
-        assert np.allclose(edge_embedding(np.zeros(4), np.ones(4)), 0.0)
+        h = np.stack([np.zeros(4), np.ones(4)])
+        assert np.allclose(edge_embeddings(h, [[0, 1]]), 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((2, 8))
-        assert np.array_equal(edge_embedding(a, b), edge_embedding(b, a))
+        z = edge_embeddings(rng.standard_normal((2, 8)), [[0, 1], [1, 0]])
+        assert np.array_equal(z[0], z[1])
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            edge_embedding(np.ones(3), np.ones(4))
+
+def edge_scores(params, z):
+    """Sigmoid of the scorer's logits, one score per row of ``z``."""
+    scorer = (params.scorer_w1, params.scorer_b1, params.scorer_w2, params.scorer_b2)
+    logits = _scorer_logits(scorer, np.atleast_2d(z))[0]
+    return 1.0 / (1.0 + np.exp(-logits))
 
 
 class TestEdgeScore:
@@ -112,29 +116,24 @@ class TestEdgeScore:
         params = random_params(rng)
         params.scorer_w1[:] = 0.0
         params.scorer_w2[:] = 0.0
-        assert edge_score(params, np.ones(12)) == pytest.approx(0.5)
+        assert edge_scores(params, np.ones(12))[0] == pytest.approx(0.5)
 
     def test_monotone_in_logit(self):
         rng = np.random.default_rng(7)
         params = random_params(rng)
         z = rng.standard_normal(12)
-        base = edge_score(params, z)
+        base = edge_scores(params, z)[0]
         bumped = params.copy()
         bumped.scorer_b2[0] += 1.0
-        assert edge_score(bumped, z) > base
-
-    def test_open_interval(self):
-        rng = np.random.default_rng(8)
-        params = random_params(rng)
-        params.scorer_b2[0] = 1e6
-        s = edge_score(params, rng.standard_normal(12))
-        assert 0.0 < s < 1.0
+        assert edge_scores(bumped, z)[0] > base
 
     def test_endpoint_order_invariance(self):
         rng = np.random.default_rng(9)
         params = random_params(rng)
-        hu, hv = rng.standard_normal((2, 12))
-        assert edge_score(params, edge_embedding(hu, hv)) == edge_score(params, edge_embedding(hv, hu))
+        h = rng.standard_normal((2, 12))
+        forward = edge_scores(params, edge_embeddings(h, [[0, 1]]))
+        backward = edge_scores(params, edge_embeddings(h, [[1, 0]]))
+        assert forward[0] == backward[0]
 
 
 class TestTraining:

@@ -286,6 +286,10 @@ class TestConfig:
             RunConfig(n_splits=0)
         with pytest.raises(ValueError):
             RunConfig(feature_mode="spectral")
+        with pytest.raises(ValueError, match="clique_n"):
+            RunConfig(clique_n=-3)
+        with pytest.raises(ValueError, match="feature_dim"):
+            RunConfig(feature_dim=0)
 
     @pytest.mark.parametrize("overrides", [
         {"sampler_mode": "bogus"}, {"sampler_agg": "mean"}, {"sampler_lambda": -1.0},
@@ -298,6 +302,12 @@ class TestConfig:
     def test_file_sampler_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             build_run_config({"sampler_mode": "bogus"})
+
+    def test_file_graph_settings_validated(self):
+        with pytest.raises(ValueError, match="clique_n"):
+            build_run_config({"clique_n": "-3"})
+        with pytest.raises(ValueError, match="feature_dim"):
+            build_run_config({"feature_dim": "0"})
 
 
 class TestLoadGraph:

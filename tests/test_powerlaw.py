@@ -9,7 +9,7 @@ from linkconformal.powerlaw import (
     fit_power_law,
     hurwitz_zeta,
     ks_statistic,
-    powerlaw_pmf,
+    powerlaw_cdf,
 )
 
 PI2_6 = np.pi**2 / 6.0
@@ -62,23 +62,26 @@ class TestHurwitzZeta:
 
 
 class TestPmf:
+    # At d_min = 1 the CDF at 1 is the pmf at 1, and differences of the
+    # CDF give the pmf at larger degrees.
     def test_basel_ratio(self):
-        assert abs(powerlaw_pmf(1, 2.0, 1) - 6.0 / np.pi**2) < 1e-8
+        assert abs(powerlaw_cdf(1, 2.0, 1) - 6.0 / np.pi**2) < 1e-8
 
     def test_normalization(self):
+        # the pmf d^-beta / zeta(beta, 1) summed directly, plus the
+        # analytic tail 1 - CDF, is 1
         d = np.arange(1, 200_000)
-        total = powerlaw_pmf(d, 2.5, 1).sum()
-        # truncated sum plus analytic tail bound
-        tail = hurwitz_zeta(2.5, 200_000.0) / hurwitz_zeta(2.5, 1.0)
+        total = np.sum(d ** -2.5) / hurwitz_zeta(2.5, 1.0)
+        tail = 1.0 - powerlaw_cdf(199_999, 2.5, 1)
         assert abs(total + tail - 1.0) < 1e-8
 
     def test_monotone_decreasing(self):
-        vals = powerlaw_pmf(np.arange(1, 50), 2.5, 1)
-        assert np.all(np.diff(vals) < 0)
+        pmf = np.diff(powerlaw_cdf(np.arange(1, 50), 2.5, 1), prepend=0.0)
+        assert np.all(np.diff(pmf) < 0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            powerlaw_pmf(1, 2.5, 2)
+            powerlaw_cdf(1, 2.5, 2)
 
 
 class TestEstimateBeta:
@@ -118,7 +121,7 @@ class TestEstimateBeta:
 class TestKsStatistic:
     def test_single_atom(self):
         # eCDF at the single observed degree is 1
-        expected = 1.0 - powerlaw_pmf(1, 2.5, 1)
+        expected = 1.0 - powerlaw_cdf(1, 2.5, 1)
         assert abs(ks_statistic([1, 1, 1, 1], 2.5, 1) - expected) < 1e-12
 
     def test_true_parameters_small(self):

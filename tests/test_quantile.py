@@ -6,7 +6,6 @@ from linkconformal.quantile import (
     QuantileModel,
     fit_quantile_functions,
     pinball_loss,
-    predict_quantiles,
     quantile_gradient_check,
 )
 
@@ -53,19 +52,22 @@ class TestPredictQuantiles:
             levels=(0.05, 0.95),
         )
 
+    @staticmethod
+    def band(model, z):
+        return model.quantiles(z[None])[0].tolist()
+
     def test_crossing_repaired(self):
-        lower, upper = predict_quantiles(self.zero_model(), np.ones(4))
-        assert (lower, upper) == (0.3, 0.7)
+        assert self.band(self.zero_model(), np.ones(4)) == [0.3, 0.7]
 
     def test_no_crossing_untouched(self):
         model = self.zero_model()
         model.b3[:] = [0.2, 0.8]
-        assert predict_quantiles(model, np.zeros(4)) == (0.2, 0.8)
+        assert self.band(model, np.zeros(4)) == [0.2, 0.8]
 
     def test_zero_network(self):
         model = self.zero_model()
         model.b3[:] = 0.0
-        assert predict_quantiles(model, np.ones(4)) == (0.0, 0.0)
+        assert self.band(model, np.ones(4)) == [0.0, 0.0]
 
     def test_lower_never_exceeds_upper(self):
         rng = np.random.default_rng(1)
@@ -77,7 +79,7 @@ class TestPredictQuantiles:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            predict_quantiles(self.zero_model(dim=4), np.ones(7))
+            self.band(self.zero_model(dim=4), np.ones(7))
 
 
 class TestFit:
