@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .graph import _checked_ratios
 from .model import ModelConfig
 from .quantile import QuantileConfig
 from .sampling import SamplerConfig
@@ -41,6 +42,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        train, _, calib, test = _checked_ratios(self.ratios)
+        if min(train, calib, test) <= 0:
+            raise ValueError(f"ratios need positive train, calib and test shares, got {self.ratios}")
         if self.n_splits < 1 or self.n_reps < 1:
             raise ValueError("n_splits and n_reps must be >= 1")
         if self.clique_n < 0:

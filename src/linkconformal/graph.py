@@ -20,10 +20,6 @@ from .errors import CapacityError, EdgeListParseError
 from .powerlaw import hurwitz_zeta
 from .seeding import derive_rng
 
-# Below this many node pairs, negative sampling enumerates all non-edges;
-# above it, rejection sampling is used.
-_ENUMERATION_LIMIT = 4_000_000
-
 
 def as_edge_rows(edges, width: Optional[int] = None) -> np.ndarray:
     """Edges as a (k, width) int64 array, from an array or any iterable of tuples.
@@ -232,54 +228,22 @@ def ensure_features(graph: Graph, dim: int, seed: int) -> Graph:
     return graph.with_features(rng.standard_normal((graph.num_nodes, dim)))
 
 
-def _pair_rank(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    # Rank of pair (u, v), u < v, in the lexicographic enumeration of all
-    # unordered pairs over n nodes.
-    u = u.astype(np.int64)
-    v = v.astype(np.int64)
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def _pair_unrank(rank: np.ndarray, n: int):
-    rank = rank.astype(np.float64)
-    u = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * rank)) / 2).astype(np.int64)
-    base = u * n - u * (u + 1) // 2
-    v = (rank - base).astype(np.int64) + u + 1
-    return u, v
-
-
 def negative_sample(graph: Graph, count: int, seed: int):
     """Sample ``count`` distinct non-edges uniformly, without replacement.
 
-    Raises CapacityError when the graph has fewer than ``count`` non-edges.
-    Deterministic given the seed.
+    Returns (count, 2) int64 rows (u, v), u < v, in lexicographic order.
+    Each batch of uniform node pairs accepts, in draw order, the first
+    occurrence of every pair that is neither a self-loop, an edge nor
+    already accepted. Raises CapacityError when the graph has fewer than
+    ``count`` non-edges, so the loop ends. Deterministic given the seed.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     n = graph.num_nodes
-    total = n * (n - 1) // 2
-    capacity = total - graph.num_edges
+    capacity = n * (n - 1) // 2 - graph.num_edges
     if count > capacity:
-        raise CapacityError(
-            f"requested {count} non-edges but only {capacity} exist"
-        )
-    if count == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        raise CapacityError(f"requested {count} non-edges but only {capacity} exist")
     rng = derive_rng(seed, "negative-sample")
-    if total <= _ENUMERATION_LIMIT:
-        ranks = np.arange(total, dtype=np.int64)
-        edge_arr = graph.edge_array()
-        if edge_arr.size:
-            occupied = _pair_rank(edge_arr[:, 0], edge_arr[:, 1], n)
-            mask = np.ones(total, dtype=bool)
-            mask[occupied] = False
-            ranks = ranks[mask]
-        chosen = rng.choice(ranks, size=count, replace=False)
-        return np.column_stack(_pair_unrank(np.sort(chosen), n))
-    # Rejection sampling for very large graphs, on keys u * n + v: each
-    # batch accepts, in draw order, the first occurrence of every pair that
-    # is neither a self-loop, an edge nor already accepted, until ``count``
-    # are accepted. Terminates because count <= capacity.
     edges = graph.edge_array()
     edge_keys = edges[:, 0] * n + edges[:, 1]
     accepted = np.empty(0, dtype=np.int64)
@@ -304,6 +268,18 @@ def _quota_sizes(n: int, ratios) -> list:
     return floors
 
 
+def _checked_ratios(ratios) -> tuple:
+    """Four split ratios (train, val, calib, test) as floats, non-negative and summing to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 4:
+        raise ValueError(f"expected 4 ratios, got {len(ratios)}")
+    if any(r < 0 for r in ratios):
+        raise ValueError(f"ratios must be non-negative, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
+    return ratios
+
+
 def split_edges(positives, negatives, ratios, seed: int) -> EdgeSplit:
     """Shuffle and partition positive and negative pairs by ratio.
 
@@ -312,13 +288,7 @@ def split_edges(positives, negatives, ratios, seed: int) -> EdgeSplit:
     four non-negative reals summing to 1 (tolerance 1e-9), ordered
     (train, val, calib, test).
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 4:
-        raise ValueError(f"expected 4 ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be non-negative, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
+    ratios = _checked_ratios(ratios)
     positives = np.sort(as_edge_rows(positives, 2), axis=1)
     negatives = np.sort(as_edge_rows(negatives, 2), axis=1)
     if len(positives) != len(negatives):

@@ -194,10 +194,11 @@ def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.nd
     return node_embeddings[endpoints[:, 0]] * node_embeddings[endpoints[:, 1]]
 
 
-def _scorer_logits(params_arrays, z):
+def _scorer_logits(params_arrays, z, pre=None, hidden=None):
     w1, b1, w2, b2 = params_arrays
-    pre = z @ w1 + b1
-    hidden = relu(pre)
+    pre = np.matmul(z, w1, out=pre)
+    pre += b1
+    hidden = np.maximum(pre, 0.0, out=hidden)
     return hidden @ w2 + b2[0], pre, hidden
 
 
@@ -214,33 +215,51 @@ def _scatter_rows(num_rows, index, values):
     return incidence @ values
 
 
-def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None):
-    # Returns (loss, None) when not want_grads, else (None, gradients).
-    # ``forward`` is the encoder pass at ``arrays`` when the caller has it.
+def _workspace(rows, width, hidden):
+    """Buffers for ``_bce_loss_and_grads`` on up to ``rows`` rows: the scatter
+    values, zu, zv, z, d_z, pre, hidden, d_pre and the mask pre > 0. One per
+    training run keeps its steps from allocating arrays of the batch's size,
+    which glibc maps and faults in afresh each step whenever its dynamic
+    mmap threshold sits below them."""
+    return (np.empty((2 * rows, width)), *(np.empty((rows, width)) for _ in range(4)),
+            *(np.empty((rows, hidden)) for _ in range(3)), np.empty((rows, hidden), dtype=bool))
+
+
+def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None):
+    # Returns (loss, None) when not want_grads, else (None, gradients), which never
+    # share memory with ``work``, a ``_workspace`` for labels.size rows (fresh when
+    # not given). ``forward`` is the encoder pass at ``arrays`` when the caller has it.
     n_enc = len(arrays) - 4
     enc_weights = arrays[:n_enc]
     scorer = arrays[n_enc:]
+    w1, b1, w2, b2 = scorer
     if forward is None:
         forward = _encoder_forward(a_hat, a_hat @ features, enc_weights)
     propagated, preacts, h = forward
-    zu, zv = h[endpoints[:, 0]], h[endpoints[:, 1]]
-    z = zu * zv
-    logits, pre, hidden = _scorer_logits(scorer, z)
+    rows = labels.size
+    work = work or _workspace(rows, h.shape[1], w1.shape[1])
+    scatter = work[0][: 2 * rows]
+    zu, zv, z, d_z, pre, hidden, d_pre, positive = (buf[:rows] for buf in work[1:])
+    index = endpoints.T.ravel()
+    np.take(h, index[:rows], axis=0, out=zu)
+    np.take(h, index[rows:], axis=0, out=zv)
+    np.multiply(zu, zv, out=z)
+    logits = _scorer_logits(scorer, z, pre, hidden)[0]
     if not want_grads:
         # BCE from logits: softplus(logit) - y * logit, numerically stable.
         return float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits)), None
-    batch = labels.size
     s = 1.0 / (1.0 + np.exp(-logits))
-    dlogit = (s - labels) / batch
-    w1, b1, w2, b2 = scorer
+    dlogit = (s - labels) / rows
     d_b2 = np.array([dlogit.sum()])
     d_w2 = hidden.T @ dlogit
-    d_pre = np.outer(dlogit, w2)
-    d_pre *= pre > 0
+    np.multiply(dlogit[:, None], w2, out=d_pre)
+    d_pre *= np.greater(pre, 0, out=positive)
     d_w1 = z.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    d_z = d_pre @ w1.T
-    d_h = _scatter_rows(h.shape[0], endpoints.T.ravel(), np.concatenate([d_z * zv, d_z * zu]))
+    np.matmul(d_pre, w1.T, out=d_z)
+    np.multiply(d_z, zv, out=scatter[:rows])
+    np.multiply(d_z, zu, out=scatter[rows:])
+    d_h = _scatter_rows(h.shape[0], index, scatter)
     enc_grads = [None] * n_enc
     d_pre_l = d_h
     for l in range(n_enc - 1, -1, -1):
@@ -300,6 +319,8 @@ def train_link_predictor(
     enc_weights = arrays[: config.num_layers]
     optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
     val_endpoints, val_labels = _as_endpoint_arrays(val) if len(val) else (None, None)
+    rows = max(min(config.batch_size, train_labels.size), len(val))
+    work = _workspace(rows, config.hidden_dim, config.scorer_hidden)
     best_loss = np.inf
     best = None
     # The encoder pass at the current weights, when one was made since the
@@ -313,14 +334,14 @@ def train_link_predictor(
             if forward is None:
                 forward = _encoder_forward(a_hat, propagated_features, enc_weights)
             _, grads = _bce_loss_and_grads(
-                arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward
+                arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward, work=work
             )
             optimizer.step(arrays, grads)
             forward = None
         if val_labels is not None:
             forward = _encoder_forward(a_hat, propagated_features, enc_weights)
             val_loss, _ = _bce_loss_and_grads(
-                arrays, a_hat, features, val_endpoints, val_labels, want_grads=False, forward=forward
+                arrays, a_hat, features, val_endpoints, val_labels, want_grads=False, forward=forward, work=work
             )
             if val_loss < best_loss:
                 best_loss = val_loss

@@ -358,13 +358,16 @@ def sweep_cliques(
     the grid point, so variant i of every (m, n) shares its base graph,
     negative pool, split, and model streams: grid points differ only by
     the injected cliques. ``mean_ks`` averages the variants that admit a
-    KS fit and is None when none does.
+    KS fit and is None when none does. The grid is checked before any training.
     """
     if not grid:
         raise ValueError("sweep_cliques needs a non-empty grid")
     if n_variants < 1:
         raise ValueError(f"n_variants must be >= 1, got {n_variants}")
     base_graph = _input_graph(replace(config, clique_m=0, clique_n=0), base_graph)
+    for m, n in grid:
+        if n < 0 or (n > 0 and not 2 <= m <= base_graph.num_nodes):
+            raise ValueError(f"grid point (m={m}, n={n}) needs n >= 0, and 2 <= m <= num_nodes when n > 0")
     variant_configs = [
         replace(config, seed=derive_seed(config.seed, "clique-run", variant), n_splits=1,
                 n_reps=1, run_sampled_arm=False)
@@ -374,7 +377,7 @@ def sweep_cliques(
     for m, n in grid:
         ks_values, lengths, coverages = [], [], []
         for variant, variant_config in enumerate(variant_configs):
-            variant_graph = base_graph if n <= 0 else inject_cliques(
+            variant_graph = base_graph if n == 0 else inject_cliques(
                 base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
             )
             record = run_pipeline(variant_config, variant_graph).trials[0]

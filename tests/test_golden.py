@@ -24,8 +24,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def rejection_config():
-    # 3,000 nodes give 4.5M node pairs, over the enumeration limit, so the
-    # negatives come from rejection sampling.
+    # Ten times tiny_config's nodes, two splits and the directional
+    # sampler, kept to about a second by 2-epoch nets.
     return tiny_config(
         seed=2024, n_splits=2, synth_nodes=3000, clique_m=10, clique_n=5, feature_dim=8,
         sampler_lambda=1.0, sampler_mode="directional",
@@ -40,7 +40,7 @@ def _rows(rows):
 
 
 GOLDEN = {
-    "tiny_enumeration.json": lambda: run_pipeline(tiny_config()),
+    "tiny.json": lambda: run_pipeline(tiny_config()),
     "rejection_3000.json": lambda: run_pipeline(rejection_config()),
     "sweep_lambda.json": lambda: _rows(sweep_lambda(
         tiny_config(n_splits=2, sampler_mode="directional"), [0.5, 1.0, 4.0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import linkconformal.graph as graph_mod
 from linkconformal.errors import CapacityError, EdgeListParseError
 from linkconformal.graph import (
     EdgeSplit,
@@ -166,10 +167,6 @@ def reference_rejection_sample(graph, count, seed):
 
 
 class TestNegativeSampleRejection:
-    @pytest.fixture(autouse=True)
-    def force_rejection(self, monkeypatch):
-        monkeypatch.setattr(graph_mod, "_ENUMERATION_LIMIT", 0)
-
     @pytest.fixture
     def graph(self):
         # 60 nodes, 1770 pairs: large draws repeat pairs within a batch and
@@ -194,6 +191,27 @@ class TestNegativeSampleRejection:
         assert len(pairs) == 900
         assert all(u < v for u, v in pairs)
         assert not pairs & graph.edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sorted_distinct_in_range_non_edges(self, data):
+        # up to complete graphs, and draws up to the full capacity
+        n = data.draw(st.integers(2, 30), label="num_nodes")
+        iu, iv = np.triu_indices(n, k=1)
+        density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="graph_seed"))
+        keep = rng.random(iu.size) < density
+        graph = Graph(n, np.column_stack([iu[keep], iv[keep]]))
+        capacity = iu.size - graph.num_edges
+        count = data.draw(st.one_of(st.just(capacity), st.integers(0, capacity)), label="count")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        out = negative_sample(graph, count, seed=seed)
+        assert out.dtype == np.int64 and out.shape == (count, 2)
+        assert np.all((0 <= out[:, 0]) & (out[:, 0] < out[:, 1]) & (out[:, 1] < n))
+        rows = list(map(tuple, out.tolist()))
+        assert rows == sorted(set(rows))
+        assert not set(rows) & graph.edges
+        assert np.array_equal(out, negative_sample(graph, count, seed=seed))
 
 
 class TestSplitEdges:

@@ -180,6 +180,12 @@ class TestSweepCliques:
         assert row.mean_length is None and row.mean_coverage is None
         assert row.mean_ks is not None
 
+    @pytest.mark.parametrize("grid", [[(8, -3), (8, 0)], [(8, 0), (1, 2)], [(8, 0), (301, 1)]])
+    def test_bad_grid_rejected_before_training(self, grid, link_trainings):
+        with pytest.raises(ValueError, match="grid point"):
+            sweep_cliques(tiny_config(run_sampled_arm=False), grid, n_variants=1)
+        assert link_trainings == []
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_cliques(tiny_config(), [])
@@ -279,7 +285,7 @@ class TestConfig:
         assert echo["model_epochs"] == 8
         assert list(echo) == list(config_echo(tiny_config()))
 
-    def test_validation(self):
+    def test_validation(self, link_trainings):
         with pytest.raises(ValueError):
             RunConfig(alpha=1.5)
         with pytest.raises(ValueError):
@@ -290,6 +296,13 @@ class TestConfig:
             RunConfig(clique_n=-3)
         with pytest.raises(ValueError, match="feature_dim"):
             RunConfig(feature_dim=0)
+        # split ratios: no calibration share, no test share, three values
+        for ratios, message in (((0.6, 0.2, 0.0, 0.2), "positive train, calib and test"),
+                                ((0.6, 0.2, 0.2, 0.0), "positive train, calib and test"),
+                                ((0.6, 0.2, 0.2), "expected 4 ratios")):
+            with pytest.raises(ValueError, match=message):
+                run_pipeline(tiny_config(ratios=ratios))
+        assert link_trainings == []
 
     @pytest.mark.parametrize("overrides", [
         {"sampler_mode": "bogus"}, {"sampler_agg": "mean"}, {"sampler_lambda": -1.0},
