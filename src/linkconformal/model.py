@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, relu, save_dump
+from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, save_dump
 from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
@@ -48,6 +48,12 @@ class ModelConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.scorer_hidden_dim is not None and self.scorer_hidden_dim < 1:
+            raise ValueError(f"scorer_hidden_dim must be >= 1, got {self.scorer_hidden_dim}")
 
     @property
     def scorer_hidden(self) -> int:
@@ -162,17 +168,19 @@ def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> n
 
 def _encoder_forward(a_hat, propagated_features, weights):
     # ``propagated_features`` is a_hat @ features, which does not depend on
-    # the weights. Returns (propagated inputs S_l, pre-activations Z_l,
-    # output H of the last layer).
+    # the weights. Returns (propagated inputs S_l, one boolean mask Z_l > 0
+    # per hidden layer, output H of the last layer). Each hidden layer's
+    # pre-activation Z_l is ReLU'd in place; the backward pass needs only
+    # its sign, which the mask keeps at one byte per entry.
     propagated = [propagated_features]
-    preacts = []
+    masks = []
     last = len(weights) - 1
     for l, w in enumerate(weights):
         z = propagated[l] @ w
-        preacts.append(z)
         if l == last:
-            return propagated, preacts, z
-        propagated.append(a_hat @ relu(z))
+            return propagated, masks, z
+        masks.append(z > 0)
+        propagated.append(a_hat @ np.maximum(z, 0.0, out=z))
 
 
 def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
@@ -216,13 +224,18 @@ def _scatter_rows(num_rows, index, values):
 
 
 def _workspace(rows, width, hidden):
-    """Buffers for ``_bce_loss_and_grads`` on up to ``rows`` rows: the scatter
-    values, zu, zv, z, d_z, pre, hidden, d_pre and the mask pre > 0. One per
-    training run keeps its steps from allocating arrays of the batch's size,
-    which glibc maps and faults in afresh each step whenever its dynamic
-    mmap threshold sits below them."""
-    return (np.empty((2 * rows, width)), *(np.empty((rows, width)) for _ in range(4)),
-            *(np.empty((rows, hidden)) for _ in range(3)), np.empty((rows, hidden), dtype=bool))
+    """Buffers for ``_bce_loss_and_grads`` on up to ``rows`` rows.
+
+    ``scatter`` (2 rows x width) first holds the gathered endpoint rows zv
+    and zu, then the scatter values d_z * zv and d_z * zu, written over them
+    in place. ``z`` holds the edge embeddings, then d_z. ``hidden`` holds the
+    scorer's pre-activation, ReLU'd in place, then d_pre. ``positive`` is the
+    mask hidden > 0. One workspace per training run keeps its steps from
+    allocating arrays of the batch's size, which glibc maps and faults in
+    afresh each step whenever its dynamic mmap threshold sits below them.
+    """
+    return (np.empty((2 * rows, width)), np.empty((rows, width)), np.empty((rows, hidden)),
+            np.empty((rows, hidden), dtype=bool))
 
 
 def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None):
@@ -235,16 +248,20 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     w1, b1, w2, b2 = scorer
     if forward is None:
         forward = _encoder_forward(a_hat, a_hat @ features, enc_weights)
-    propagated, preacts, h = forward
+    propagated, masks, h = forward
     rows = labels.size
     work = work or _workspace(rows, h.shape[1], w1.shape[1])
     scatter = work[0][: 2 * rows]
-    zu, zv, z, d_z, pre, hidden, d_pre, positive = (buf[:rows] for buf in work[1:])
+    z, hidden, positive = (buf[:rows] for buf in work[1:])
+    # zv fills the first half of scatter and zu the second, so that the
+    # scatter values d_z * zv (for index[:rows]) and d_z * zu form in place.
+    # "wrap" skips the copy that "raise" makes; callers range-check endpoints.
     index = endpoints.T.ravel()
-    np.take(h, index[:rows], axis=0, out=zu)
-    np.take(h, index[rows:], axis=0, out=zv)
+    zv, zu = scatter[:rows], scatter[rows:]
+    np.take(h, index[rows:], axis=0, out=zv, mode="wrap")
+    np.take(h, index[:rows], axis=0, out=zu, mode="wrap")
     np.multiply(zu, zv, out=z)
-    logits = _scorer_logits(scorer, z, pre, hidden)[0]
+    logits = _scorer_logits(scorer, z, hidden, hidden)[0]
     if not want_grads:
         # BCE from logits: softplus(logit) - y * logit, numerically stable.
         return float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits)), None
@@ -252,22 +269,32 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     dlogit = (s - labels) / rows
     d_b2 = np.array([dlogit.sum()])
     d_w2 = hidden.T @ dlogit
-    np.multiply(dlogit[:, None], w2, out=d_pre)
-    d_pre *= np.greater(pre, 0, out=positive)
+    np.greater(hidden, 0, out=positive)
+    d_pre = np.multiply(dlogit[:, None], w2, out=hidden)
+    d_pre *= positive
     d_w1 = z.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    np.matmul(d_pre, w1.T, out=d_z)
-    np.multiply(d_z, zv, out=scatter[:rows])
-    np.multiply(d_z, zu, out=scatter[rows:])
-    d_h = _scatter_rows(h.shape[0], index, scatter)
+    d_z = np.matmul(d_pre, w1.T, out=z)
+    zv *= d_z
+    zu *= d_z
+    d = _scatter_rows(h.shape[0], index, scatter)
     enc_grads = [None] * n_enc
-    d_pre_l = d_h
     for l in range(n_enc - 1, -1, -1):
-        enc_grads[l] = propagated[l].T @ d_pre_l
+        enc_grads[l] = propagated[l].T @ d
         if l > 0:
-            d_pre_l = a_hat.T @ (d_pre_l @ enc_weights[l].T)
-            d_pre_l *= preacts[l - 1] > 0
+            # One product per statement, so that each node-sized temporary
+            # is freed before the next one is allocated.
+            d = d @ enc_weights[l].T
+            d = a_hat.T @ d
+            d *= masks[l - 1]
     return None, enc_grads + [d_w1, d_b1, d_w2, d_b2]
+
+
+def _check_endpoints(endpoints, num_nodes, name):
+    """Raise IndexError unless every endpoint lies in [0, num_nodes)."""
+    bad = endpoints[(endpoints < 0) | (endpoints >= num_nodes)]
+    if bad.size:
+        raise IndexError(f"{name} endpoint {bad[0]} is out of range for num_nodes={num_nodes}")
 
 
 def _init_params(rng, feature_dim, config: ModelConfig) -> ModelParams:
@@ -300,7 +327,8 @@ def train_link_predictor(
 
     Validation loss is evaluated after every epoch and the best-validation
     snapshot is returned (final parameters when ``val`` is empty).
-    Deterministic given (inputs, config, seed).
+    Deterministic given (inputs, config, seed). An endpoint outside
+    [0, num_nodes) raises IndexError before any training step.
     """
     config = config or ModelConfig()
     if subgraph.features is None:
@@ -310,6 +338,10 @@ def train_link_predictor(
         raise ValueError("training set is empty")
     if len(np.unique(train_labels)) < 2:
         raise ValueError("training set must contain both labels")
+    val_endpoints, val_labels = _as_endpoint_arrays(val) if len(val) else (None, None)
+    _check_endpoints(train_endpoints, subgraph.num_nodes, "train")
+    if val_endpoints is not None:
+        _check_endpoints(val_endpoints, subgraph.num_nodes, "val")
     a_hat = normalized_adjacency(subgraph, config.aggregation)
     features = subgraph.features
     propagated_features = a_hat @ features
@@ -318,7 +350,6 @@ def train_link_predictor(
     arrays = params.param_arrays()
     enc_weights = arrays[: config.num_layers]
     optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
-    val_endpoints, val_labels = _as_endpoint_arrays(val) if len(val) else (None, None)
     rows = max(min(config.batch_size, train_labels.size), len(val))
     work = _workspace(rows, config.hidden_dim, config.scorer_hidden)
     best_loss = np.inf
@@ -366,6 +397,7 @@ def gradient_check(
     if graph.features is None:
         raise ValueError("graph has no features; call ensure_features first")
     endpoints, labels = _as_endpoint_arrays(batch)
+    _check_endpoints(endpoints, graph.num_nodes, "batch")
     a_hat = normalized_adjacency(graph, params.config.aggregation)
     arrays = [a.copy() for a in params.param_arrays()]
     _, grads = _bce_loss_and_grads(arrays, a_hat, graph.features, endpoints, labels)

@@ -30,6 +30,10 @@ class QuantileConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.hidden_dim < 1:
             raise ValueError("batch_size and hidden_dim must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 @dataclass

@@ -382,15 +382,20 @@ class TestKernelsMatchOracle:
         assert none is None
         assert loss == reference_bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels, False)[0]
 
-    @pytest.mark.parametrize("batch_size, aggregation, with_val", [
-        (4096, "gcn-normalized", True),  # one batch per epoch
-        (16, "gcn-normalized", True),  # several batches, a ragged last one
-        (16, "mean-neighbor", True),
-        (16, "gcn-normalized", False),  # empty val: final parameters
+    @pytest.mark.parametrize("batch_size, aggregation, with_val, num_layers", [
+        # one batch per epoch
+        pytest.param(4096, "gcn-normalized", True, 2, id="4096-gcn-normalized-True"),
+        # several batches, a ragged last one
+        pytest.param(16, "gcn-normalized", True, 2, id="16-gcn-normalized-True"),
+        pytest.param(16, "mean-neighbor", True, 2, id="16-mean-neighbor-True"),
+        # empty val: final parameters
+        pytest.param(16, "gcn-normalized", False, 2, id="16-gcn-normalized-False"),
+        # two hidden encoder layers: two ReLU masks in the backward pass
+        pytest.param(16, "mean-neighbor", True, 3, id="16-mean-neighbor-True-3-layers"),
     ])
-    def test_trained_parameters(self, batch_size, aggregation, with_val):
+    def test_trained_parameters(self, batch_size, aggregation, with_val, num_layers):
         sub, split = toy_setup(seed=52)
-        config = ModelConfig(hidden_dim=12, num_layers=2, aggregation=aggregation, epochs=12,
+        config = ModelConfig(hidden_dim=12, num_layers=num_layers, aggregation=aggregation, epochs=12,
                              learning_rate=0.05, batch_size=batch_size, scorer_hidden_dim=10)
         val = split.val if with_val else split.val[:0]
         assert split.train.shape[0] % 16 != 0
@@ -421,8 +426,10 @@ class TestWorkspace:
             assert np.array_equal(g, f)
 
     def test_step_allocates_no_batch_sized_array(self):
-        # One step's transient traced peak stays below two (batch, hidden)
-        # float64 arrays; fresh per-row temporaries took about eleven.
+        # One step's transient traced peak stays below half of one (batch,
+        # hidden) float64 array: about 0.42 of one here. Fresh per-row
+        # temporaries took about eleven, and np.take's default "raise" mode,
+        # which copies through a buffer of its output's size, took 1.1.
         rng = np.random.default_rng(56)
         graph = ensure_features(generate_powerlaw_graph(50, 2.5, 1, seed=57), 6, seed=58)
         config = ModelConfig(hidden_dim=32, num_layers=2)
@@ -439,4 +446,82 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 2 * rows * 32 * 8
+        assert peak < rows * 32 * 8 // 2
+
+
+class TestTrainingMemory:
+    def test_one_epoch_transient_peak(self):
+        # One epoch of 1,024-row batches on a 3,000-node graph. Training
+        # holds the propagated features and a workspace of four row-sized
+        # arrays and a mask; a step adds the forward pass (the last layer's
+        # input and output, one mask per hidden layer) and at most two
+        # node-sized arrays in the backward pass. Its traced peak here is
+        # 5.6 node-sized plus 4.6 row-sized float64 arrays. A kernel that
+        # keeps float pre-activations, nine row buffers and np.take's
+        # copies peaks at 7.5 node-sized plus 9.6 row-sized ones.
+        g = ensure_features(generate_powerlaw_graph(3000, 2.5, 1, seed=60), 16, seed=61)
+        pos = g.edge_array()
+        split = split_edges(pos, negative_sample(g, len(pos), seed=62), (0.5, 0.1, 0.2, 0.2), seed=63)
+        sub = training_subgraph(g, split)
+        config = ModelConfig(hidden_dim=16, num_layers=2, epochs=1, learning_rate=0.1,
+                             batch_size=1024, scorer_hidden_dim=16)
+        train_link_predictor(sub, split.train, split.val, config, seed=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_link_predictor(sub, split.train, split.val, config, seed=64)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert split.train.shape[0] > 2 * 1024
+        node_array, row_array = 3000 * 16 * 8, 1024 * 16 * 8
+        assert peak < 6 * node_array + 6 * row_array
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The calls made to the training step's kernel while a test runs."""
+    import linkconformal.model as model
+
+    calls = []
+    kernel = model._bce_loss_and_grads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_bce_loss_and_grads", counted)
+    return calls
+
+
+class TestEndpointRange:
+    # -1 goes into a u column, num_nodes into a v column.
+    @pytest.mark.parametrize("which", ["train", "val"])
+    @pytest.mark.parametrize("too_low", [True, False], ids=["minus-one", "num-nodes"])
+    def test_training_rejects_before_any_step(self, which, too_low, kernel_calls):
+        sub, split = toy_setup(seed=70)
+        node, column = (-1, 0) if too_low else (sub.num_nodes, 1)
+        rows = {"train": split.train.copy(), "val": split.val.copy()}
+        rows[which][-1, column] = node
+        message = f"^{which} endpoint {node} is out of range for num_nodes={sub.num_nodes}$"
+        with pytest.raises(IndexError, match=message):
+            train_link_predictor(sub, rows["train"], rows["val"], SMALL, seed=0)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("too_low", [True, False], ids=["minus-one", "num-nodes"])
+    def test_gradient_check_rejects_its_batch(self, too_low, kernel_calls):
+        sub, split = toy_setup(seed=71)
+        params = random_params(np.random.default_rng(72))
+        node, column = (-1, 0) if too_low else (sub.num_nodes, 1)
+        batch = split.train[:8].copy()
+        batch[3, column] = node
+        message = f"^batch endpoint {node} is out of range for num_nodes={sub.num_nodes}$"
+        with pytest.raises(IndexError, match=message):
+            gradient_check(params, batch, sub, step=1e-6)
+        assert kernel_calls == []
+
+    def test_in_range_endpoints_reach_the_kernel(self, kernel_calls):
+        sub, split = toy_setup(seed=73)
+        params = random_params(np.random.default_rng(74))
+        gradient_check(params, split.train[:8], sub, step=1e-6, n_coords=2)
+        assert len(kernel_calls) == 5

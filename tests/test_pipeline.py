@@ -303,6 +303,19 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 run_pipeline(tiny_config(ratios=ratios))
         assert link_trainings == []
+        # network settings are checked when the config is built, before any graph
+        for values, message in (({"model_epochs": "-3"}, "epochs must be >= 0"),
+                                ({"quantile_momentum": "1.5"}, r"momentum must lie in \[0, 1\)"),
+                                ({"model_scorer_hidden_dim": "0"}, "scorer_hidden_dim must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                build_run_config(values)
+        for bad in (dict(epochs=-1), dict(momentum=1.0), dict(momentum=-0.1)):
+            with pytest.raises(ValueError):
+                ModelConfig(**bad)
+            with pytest.raises(ValueError):
+                QuantileConfig(**bad)
+        ModelConfig(epochs=0, momentum=0.0)
+        QuantileConfig(epochs=0, momentum=0.0)
 
     @pytest.mark.parametrize("overrides", [
         {"sampler_mode": "bogus"}, {"sampler_agg": "mean"}, {"sampler_lambda": -1.0},
