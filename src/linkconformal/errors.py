@@ -17,7 +17,7 @@ class DegenerateCalibrationError(RuntimeError):
     """A calibration arm cannot produce finite intervals.
 
     Raised when edge resampling removes every training or calibration edge
-    (lower lambda or switch mode), and when the calibration set is too small
-    for alpha, so that q_hat is +inf. The pipeline records it as the
-    trial's error.
+    (lower lambda or switch mode), when the calibration or test set is
+    empty, and when the calibration set is too small for alpha, so that
+    q_hat is +inf. The pipeline records it as the trial's error.
     """

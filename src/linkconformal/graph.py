@@ -56,6 +56,9 @@ class Graph:
     """Immutable undirected simple graph with optional node features.
 
     ``edges`` may be an (E, 2) array or any iterable of node pairs.
+    ``features`` are copied into a read-only float64 (num_nodes, d) matrix,
+    which every graph derived by ``with_edges`` shares. Non-finite features
+    raise ValueError naming the first node that has one.
     """
 
     def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
@@ -72,10 +75,13 @@ class Graph:
         keys = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
         keys = keys[np.diff(keys, prepend=-1) > 0]
         if features is not None:
-            feats = np.asarray(features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != num_nodes:
-                raise ValueError(f"features must be ({num_nodes}, d), got {feats.shape}")
-            features = _frozen(feats.copy())
+            features = np.array(features, dtype=np.float64)
+            if features.ndim != 2 or features.shape[0] != num_nodes:
+                raise ValueError(f"features must be ({num_nodes}, d), got {features.shape}")
+            finite = np.isfinite(features).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"features of node {np.argmin(finite)} are not finite")
+            _frozen(features)
         self.__dict__.update(
             num_nodes=num_nodes,
             features=features,
@@ -99,7 +105,10 @@ class Graph:
         return self._pairs
 
     def with_edges(self, edges) -> "Graph":
-        return Graph(self.num_nodes, edges, self.features)
+        """The graph on ``edges``, sharing this graph's read-only features."""
+        graph = Graph(self.num_nodes, edges)
+        graph.__dict__["features"] = self.features
+        return graph
 
     def with_features(self, features: np.ndarray) -> "Graph":
         return Graph(self.num_nodes, self._pairs, features)

@@ -168,19 +168,23 @@ def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> n
 
 def _encoder_forward(a_hat, propagated_features, weights):
     # ``propagated_features`` is a_hat @ features, which does not depend on
-    # the weights. Returns (propagated inputs S_l, one boolean mask Z_l > 0
-    # per hidden layer, output H of the last layer). Each hidden layer's
-    # pre-activation Z_l is ReLU'd in place; the backward pass needs only
-    # its sign, which the mask keeps at one byte per entry.
+    # the weights. Returns the list [propagated inputs S_l, one boolean mask
+    # Z_l > 0 per hidden layer, output H of the last layer]; the caller owns
+    # it, and a gradient step of ``_bce_loss_and_grads`` consumes it. Each
+    # hidden layer's pre-activation Z_l is ReLU'd in place and freed once
+    # S_{l+1} = a_hat @ relu(Z_l) is formed, so that it never coexists with
+    # the next layer's output; the backward pass needs only its sign, which
+    # the mask keeps at one byte per entry.
     propagated = [propagated_features]
     masks = []
     last = len(weights) - 1
     for l, w in enumerate(weights):
         z = propagated[l] @ w
         if l == last:
-            return propagated, masks, z
+            return [propagated, masks, z]
         masks.append(z > 0)
         propagated.append(a_hat @ np.maximum(z, 0.0, out=z))
+        del z
 
 
 def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
@@ -196,10 +200,21 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
     return _encoder_forward(a_hat, a_hat @ graph.features, params.encoder_weights)[2]
 
 
+# Rows per block of ``edge_embeddings``: its temporaries are one block's
+# size, not the output's.
+_EMBED_BLOCK_ROWS = 8192
+
+
 def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     """Batch edge embeddings for an (E, 2) endpoint array."""
     endpoints = np.asarray(endpoints, dtype=np.int64)
-    return node_embeddings[endpoints[:, 0]] * node_embeddings[endpoints[:, 1]]
+    out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
+    for start in range(0, len(endpoints), _EMBED_BLOCK_ROWS):
+        rows = endpoints[start : start + _EMBED_BLOCK_ROWS]
+        block = out[start : start + _EMBED_BLOCK_ROWS]
+        np.take(node_embeddings, rows[:, 0], axis=0, out=block)
+        block *= node_embeddings[rows[:, 1]]
+    return out
 
 
 def _scorer_logits(params_arrays, z, pre=None, hidden=None):
@@ -242,6 +257,10 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     # Returns (loss, None) when not want_grads, else (None, gradients), which never
     # share memory with ``work``, a ``_workspace`` for labels.size rows (fresh when
     # not given). ``forward`` is the encoder pass at ``arrays`` when the caller has it.
+    # A loss-only call leaves it intact for a later step. A gradient step consumes
+    # it: it empties the list, drops H after the endpoint gathers and each S_l
+    # (l >= 1) after that layer's weight gradient, so that the backward pass's
+    # node-sized temporaries never coexist with them.
     n_enc = len(arrays) - 4
     enc_weights = arrays[:n_enc]
     scorer = arrays[n_enc:]
@@ -249,6 +268,8 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     if forward is None:
         forward = _encoder_forward(a_hat, a_hat @ features, enc_weights)
     propagated, masks, h = forward
+    if want_grads:
+        forward.clear()
     rows = labels.size
     work = work or _workspace(rows, h.shape[1], w1.shape[1])
     scatter = work[0][: 2 * rows]
@@ -260,6 +281,7 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     zv, zu = scatter[:rows], scatter[rows:]
     np.take(h, index[rows:], axis=0, out=zv, mode="wrap")
     np.take(h, index[:rows], axis=0, out=zu, mode="wrap")
+    del h
     np.multiply(zu, zv, out=z)
     logits = _scorer_logits(scorer, z, hidden, hidden)[0]
     if not want_grads:
@@ -277,11 +299,12 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     d_z = np.matmul(d_pre, w1.T, out=z)
     zv *= d_z
     zu *= d_z
-    d = _scatter_rows(h.shape[0], index, scatter)
+    d = _scatter_rows(a_hat.shape[0], index, scatter)
     enc_grads = [None] * n_enc
     for l in range(n_enc - 1, -1, -1):
         enc_grads[l] = propagated[l].T @ d
         if l > 0:
+            propagated[l] = None
             # One product per statement, so that each node-sized temporary
             # is freed before the next one is allocated.
             d = d @ enc_weights[l].T
@@ -356,7 +379,7 @@ def train_link_predictor(
     best = None
     # The encoder pass at the current weights, when one was made since the
     # last step: the validation pass after an epoch is the forward pass of
-    # the next epoch's first step.
+    # the next epoch's first step, which consumes it.
     forward = None
     for _ in range(config.epochs):
         order = rng.permutation(train_labels.size)

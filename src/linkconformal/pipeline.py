@@ -218,11 +218,16 @@ class _TrialBase:
 
     def _calibrate(self, arm: str, fit_rows, calib) -> dict:
         """Fit the arm's quantile band on ``fit_rows``, calibrate it on ``calib``
-        and score the test edges."""
+        and score the test edges; an empty calibration or test set, or an
+        infinite q_hat, raises DegenerateCalibrationError."""
+        for name, rows in (("calibration", calib), ("test", self.split.test)):
+            if not len(rows):
+                raise DegenerateCalibrationError(f"the {name} set is empty: it has 0 edges")
         alpha = self.config.alpha
         z_fit, y_fit = self.embed(fit_rows)
         seed = derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}")
         qmodel = fit_quantile_functions(z_fit, y_fit, alpha, self.config.quantile, seed=seed)
+        del z_fit, y_fit
         z_calib, y_calib = self.embed(calib)
         z_test, y_test = self.test_embedded
         intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, alpha)
@@ -297,9 +302,10 @@ def _trials(config: RunConfig, graph: Optional[Graph]):
 def run_pipeline(config: RunConfig, graph: Optional[Graph] = None) -> ExperimentReport:
     """Run n_splits x n_reps trials of the full pipeline and aggregate.
 
-    An arm whose calibration degenerates (sampling removed its edges, or
-    too few calibration edges for alpha give an infinite q_hat) is recorded
-    with an error and skipped by the aggregates; the sweep is never aborted.
+    An arm whose calibration degenerates (sampling removed its edges, its
+    calibration or test set is empty, or too few calibration edges for
+    alpha give an infinite q_hat) is recorded with an error and skipped by
+    the aggregates; the sweep is never aborted.
     """
     trials: List[TrialRecord] = []
     for base in _trials(config, graph):

@@ -160,10 +160,9 @@ def fit_quantile_functions(
     optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
     for _ in range(config.epochs):
         order = rng.permutation(y.size)
-        z_epoch, y_epoch = z[order], y[order]
         for start in range(0, y.size, config.batch_size):
-            stop = start + config.batch_size
-            _, grads = _loss_and_grads(arrays, z_epoch[start:stop], y_epoch[start:stop], levels)
+            batch = order[start : start + config.batch_size]
+            _, grads = _loss_and_grads(arrays, z[batch], y[batch], levels)
             optimizer.step(arrays, grads)
     for a in arrays:
         a.flags.writeable = False

@@ -64,6 +64,30 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, frozenset(), features=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = np.zeros((4, 3))
+        feats[2, 1] = bad
+        feats[3, 0] = np.nan
+        with pytest.raises(ValueError, match="^features of node 2 are not finite$"):
+            Graph(4, [(0, 1)], features=feats)
+        with pytest.raises(ValueError, match="^features of node 2 are not finite$"):
+            path_graph(4).with_features(feats)
+
+    def test_derived_graphs_share_features_and_callers_arrays_are_copied(self):
+        g = ensure_features(generate_powerlaw_graph(60, 2.5, 1, seed=3), 4, seed=4)
+        pos = g.edge_array()
+        split = split_edges(pos, negative_sample(g, len(pos), seed=5), (0.5, 0.1, 0.2, 0.2), seed=6)
+        assert training_subgraph(g, split).features is g.features
+        assert inject_cliques(g, 4, 2, seed=7).features is g.features
+        assert g.with_edges([(0, 1)]).features is g.features
+        feats = np.ones((3, 2))
+        built, attached = Graph(3, [(0, 1)], feats), path_graph(3).with_features(feats)
+        feats[1, 0] = 7.0
+        for graph in (built, attached):
+            assert not np.shares_memory(graph.features, feats)
+            assert np.array_equal(graph.features, np.ones((3, 2)))
+
 
 class TestLoadEdgeList:
     def test_basic_parse(self):
@@ -109,6 +133,14 @@ class TestLoadFeatures:
     def test_dim_mismatch(self):
         with pytest.raises(EdgeListParseError):
             load_features("0 1.0\n1 1.0 2.0\n", num_nodes=2)
+
+    def test_non_finite_values_rejected_when_attached(self):
+        feats = load_features("0 nan 1\n1 2 inf\n", num_nodes=2)
+        with pytest.raises(ValueError, match="^features of node 0 are not finite$"):
+            path_graph(2).with_features(feats)
+        feats = load_features("0 1 2\n1 2 -inf\n", num_nodes=3)
+        with pytest.raises(ValueError, match="^features of node 1 are not finite$"):
+            path_graph(3).with_features(feats)
 
 
 class TestNegativeSample:

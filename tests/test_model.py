@@ -7,6 +7,7 @@ from linkconformal.graph import Graph, ensure_features, generate_powerlaw_graph,
 from linkconformal.model import (
     ModelConfig,
     ModelParams,
+    _EMBED_BLOCK_ROWS,
     _scorer_logits,
     _workspace,
     edge_embeddings,
@@ -453,12 +454,14 @@ class TestTrainingMemory:
     def test_one_epoch_transient_peak(self):
         # One epoch of 1,024-row batches on a 3,000-node graph. Training
         # holds the propagated features and a workspace of four row-sized
-        # arrays and a mask; a step adds the forward pass (the last layer's
-        # input and output, one mask per hidden layer) and at most two
-        # node-sized arrays in the backward pass. Its traced peak here is
-        # 5.6 node-sized plus 4.6 row-sized float64 arrays. A kernel that
-        # keeps float pre-activations, nine row buffers and np.take's
-        # copies peaks at 7.5 node-sized plus 9.6 row-sized ones.
+        # arrays and a mask; a step adds the forward pass (one mask per
+        # hidden layer, the last layer's input until its weight gradient and
+        # its output until the endpoint gathers) and at most two node-sized
+        # arrays in the backward pass. Its traced peak here is 3.7
+        # node-sized plus 4.6 row-sized float64 arrays. A step that holds
+        # its forward pass through the backward pass peaks at 5.6 node-sized
+        # ones, and a kernel that keeps float pre-activations, nine row
+        # buffers and np.take's copies at 7.5 node-sized plus 9.6 row-sized.
         g = ensure_features(generate_powerlaw_graph(3000, 2.5, 1, seed=60), 16, seed=61)
         pos = g.edge_array()
         split = split_edges(pos, negative_sample(g, len(pos), seed=62), (0.5, 0.1, 0.2, 0.2), seed=63)
@@ -475,7 +478,24 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert split.train.shape[0] > 2 * 1024
         node_array, row_array = 3000 * 16 * 8, 1024 * 16 * 8
-        assert peak < 6 * node_array + 6 * row_array
+        assert peak < 4 * node_array + 6 * row_array
+
+    def test_edge_embeddings_peak_is_one_output(self):
+        # Rows are embedded block by block into one output array, so the
+        # temporaries are one block's size; gathering both endpoint arrays
+        # whole and multiplying them peaks at twice the output.
+        rng = np.random.default_rng(65)
+        h = rng.standard_normal((500, 16))
+        endpoints = rng.integers(0, 500, size=(6 * _EMBED_BLOCK_ROWS + 77, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            z = edge_embeddings(h, endpoints)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(z, h[endpoints[:, 0]] * h[endpoints[:, 1]])
+        assert peak < 1.25 * z.nbytes
 
 
 @pytest.fixture

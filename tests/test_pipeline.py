@@ -99,6 +99,24 @@ class TestRunPipeline:
             assert t.error is not None or (math.isfinite(t.q_hat) and math.isfinite(t.avg_length))
         assert "sampled" not in report.summary["arms"]
 
+    @pytest.mark.parametrize("num_edges", [3, 6])
+    def test_empty_calibration_set_recorded_as_error(self, num_edges):
+        # 0.1 of 3 to 6 edges floors to no calibration edge
+        config = tiny_config(ratios=(0.7, 0.1, 0.1, 0.1))
+        report = run_pipeline(config, graph=Graph(12, [(i, i + 1) for i in range(num_edges)]))
+        assert [t.arm for t in report.trials] == ["cqr", "sampled"]
+        for t in report.trials:
+            assert t.error == "the calibration set is empty: it has 0 edges"
+        assert report.summary["arms"] == {}
+
+    def test_empty_test_set_recorded_as_error(self):
+        # 0.01 of 30 edges floors to no test edge; calibration gets 11
+        config = tiny_config(ratios=(0.5, 0.1, 0.39, 0.01), run_sampled_arm=False)
+        report = run_pipeline(config, graph=Graph(40, [(i, i + 1) for i in range(30)]))
+        (record,) = report.trials
+        assert record.error == "the test set is empty: it has 0 edges"
+        assert record.coverage is None and record.q_hat is None
+
     def test_report_text_is_standard_json(self):
         def reject(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")
