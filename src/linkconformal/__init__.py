@@ -67,14 +67,12 @@ from .quantile import (
 from .sampling import (
     Ecdf,
     SamplerConfig,
-    deviation,
     ecdf,
     edge_keep_probability,
     keep_probabilities,
     pareto_inverse_cdf,
     pareto_sequence,
     sample_edges,
-    signed_deviation,
 )
 
 __version__ = "0.1.0"

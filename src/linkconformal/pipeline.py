@@ -14,6 +14,7 @@ from their own config echo.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -37,7 +38,7 @@ from .graph import (
     training_subgraph,
 )
 from .model import edge_embeddings, encode_nodes, structural_features, train_link_predictor
-from .powerlaw import adaptive_min_tail, fit_power_law
+from .powerlaw import PowerLawFit, adaptive_min_tail, fit_power_law
 from .quantile import fit_quantile_functions
 from .sampling import SamplerConfig, sample_edges
 from .seeding import derive_seed
@@ -131,11 +132,17 @@ def edge_pool(graph: Graph, config: RunConfig):
     return positives, negatives
 
 
-def _graph_ks(graph: Graph) -> Optional[float]:
-    degrees = degree_sequence(graph, drop_isolated=True)
-    if degrees.size < 2 or np.unique(degrees).size < 2:
+def _degree_fit(node_degrees: np.ndarray) -> Optional[PowerLawFit]:
+    """Power-law fit of the positive degrees (tail floor ``adaptive_min_tail``); None if < 2 distinct."""
+    degrees = node_degrees[node_degrees > 0]
+    if np.unique(degrees).size < 2:
         return None
-    return fit_power_law(degrees, min_tail=adaptive_min_tail(degrees.size)).ks
+    return fit_power_law(degrees, min_tail=adaptive_min_tail(degrees.size))
+
+
+def _fitted_ks(graph: Graph) -> Optional[float]:
+    fit = _degree_fit(degree_sequence(graph))
+    return None if fit is None else fit.ks
 
 
 def _mean(values) -> Optional[float]:
@@ -149,9 +156,9 @@ def _graph_density(num_nodes: int, num_edges: int) -> float:
 
 
 class _TrialBase:
-    """Shared per-trial state: split, subgraph, trained model, embeddings.
+    """Shared per-trial state: split, subgraph, degree fit, trained model, embeddings.
 
-    The test edges are embedded once; every calibration arm scores them.
+    The degree fit and the test embeddings are made once; every arm reads them.
     """
 
     def __init__(self, graph, positives, negatives, config: RunConfig, split_idx: int, rep_idx: int):
@@ -164,7 +171,8 @@ class _TrialBase:
         )
         self.split = split
         self.subgraph = training_subgraph(graph, split)
-        self.ks_before = _graph_ks(self.subgraph)
+        self.node_degrees = degree_sequence(self.subgraph)
+        self.degree_fit = _degree_fit(self.node_degrees)
         self.params = train_link_predictor(
             self.subgraph, split.train, split.val, config.model, seed=self.model_seed
         )
@@ -183,7 +191,7 @@ class _TrialBase:
         if arm == "cqr" and lam is not None:
             raise ValueError("lam applies only to the sampled arm")
         shared = dict(arm=arm, split=self.split_idx, rep=self.rep_idx, seed=self.model_seed,
-                      ks_before=self.ks_before)
+                      ks_before=None if self.degree_fit is None else self.degree_fit.ks)
         split = self.split
         try:
             if arm == "cqr":
@@ -197,6 +205,8 @@ class _TrialBase:
 
     def _sampled_inputs(self, lam: Optional[float]):
         """Resampled fit rows and calibration rows, and the sampled graph's fields."""
+        if self.degree_fit is None:
+            raise DegenerateCalibrationError("the training subgraph admits no power-law fit")
         config = self.config
         sampler = SamplerConfig(
             lam=config.sampler_lambda if lam is None else lam,
@@ -205,14 +215,14 @@ class _TrialBase:
             seed=derive_seed(config.seed, self.split_idx, self.rep_idx, "sampler"),
         )
         train_s, val_s, calib_s = sample_edges(
-            self.split.train, self.split.val, self.split.calib, self.subgraph, sampler
+            self.split.train, self.split.val, self.split.calib, self.node_degrees, self.degree_fit, sampler
         )
         if not len(train_s):
             raise DegenerateCalibrationError("sampling removed every training edge")
         fit_rows = np.concatenate([train_s, val_s])
         sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
         return fit_rows, calib_s, {
-            "ks_after": _graph_ks(sampled_graph),
+            "ks_after": _fitted_ks(sampled_graph),
             "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
         }
 
@@ -379,6 +389,7 @@ def sweep_cliques(
                 n_reps=1, run_sampled_arm=False)
         for variant in range(n_variants)
     ]
+    base_ks = functools.cache(lambda: _fitted_ks(base_graph))  # every n = 0 variant is base_graph
     rows = []
     for m, n in grid:
         ks_values, lengths, coverages = [], [], []
@@ -387,7 +398,7 @@ def sweep_cliques(
                 base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
             )
             record = run_pipeline(variant_config, variant_graph).trials[0]
-            ks_values.append(_graph_ks(variant_graph))
+            ks_values.append(base_ks() if n == 0 else _fitted_ks(variant_graph))
             lengths.append(record.avg_length)
             coverages.append(record.coverage)
         rows.append(CliqueSweepRow(m=m, n=n, mean_ks=_mean(ks_values), mean_length=_mean(lengths),

@@ -1,8 +1,8 @@
 """Degree-guided edge resampling toward a fitted power law.
 
-Builds an ideal Pareto degree sequence from the fitted exponent, measures
-per-degree deviations between the graph's empirical degree CDF and the
-ideal one, and keeps or removes edges according to those deviations.
+Builds an ideal Pareto degree sequence from a power-law fit the caller
+supplies, measures per-degree deviations between the graph's empirical
+degree CDF and the ideal one, and keeps or removes edges by them.
 
 Two modes are shipped:
 
@@ -29,9 +29,12 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DegenerateCalibrationError
-from .graph import Graph, as_edge_rows, degree_sequence, row_keys
-from .powerlaw import adaptive_min_tail, fit_power_law
+from .graph import as_edge_rows, row_keys
+from .powerlaw import PowerLawFit
 from .seeding import derive_rng, derive_seed, edge_uniforms
+# bench/tracing.py wraps degree_sequence and fit_power_law here; the sampler calls neither.
+from .graph import degree_sequence  # noqa: F401
+from .powerlaw import fit_power_law  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,6 @@ def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.nd
     return np.maximum(1, np.floor(x + 0.5)).astype(np.int64)
 
 
-def deviation(d, ecdf_orig: Ecdf, ecdf_ideal: Ecdf):
-    """Absolute gap |eCDF_orig(d) - eCDF_ideal(d)| at degree d."""
-    return np.abs(signed_deviation(d, ecdf_orig, ecdf_ideal))
-
-
-def signed_deviation(d, ecdf_orig: Ecdf, ecdf_ideal: Ecdf):
-    """Signed gap eCDF_orig(d) - eCDF_ideal(d) used by directional mode."""
-    return ecdf_orig(d) - ecdf_ideal(d)
-
-
 def _aggregate(a, b, agg: str):
     return a + b if agg == "sum" else np.maximum(a, b)
 
@@ -113,28 +106,26 @@ def _aggregate(a, b, agg: str):
 def edge_keep_probability(d_u, d_v, cfg: SamplerConfig, ecdf_orig: Ecdf, ecdf_ideal: Ecdf):
     """Per-edge retention probability from the endpoint degrees.
 
-    Vectorized over d_u, d_v. Always in [0, 1].
+    Literal mode uses each endpoint's |gap|, directional mode max(0, -gap),
+    where gap = eCDF_orig(d) - eCDF_ideal(d). Vectorized over d_u, d_v; always in [0, 1].
     """
+    gap_u, gap_v = ecdf_orig(d_u) - ecdf_ideal(d_u), ecdf_orig(d_v) - ecdf_ideal(d_v)
     if cfg.mode == "literal":
-        dev_u = deviation(d_u, ecdf_orig, ecdf_ideal)
-        dev_v = deviation(d_v, ecdf_orig, ecdf_ideal)
-        return np.minimum(cfg.lam * _aggregate(dev_u, dev_v, cfg.agg), 1.0)
-    over_u = np.maximum(0.0, -signed_deviation(d_u, ecdf_orig, ecdf_ideal))
-    over_v = np.maximum(0.0, -signed_deviation(d_v, ecdf_orig, ecdf_ideal))
+        return np.minimum(cfg.lam * _aggregate(np.abs(gap_u), np.abs(gap_v), cfg.agg), 1.0)
+    over_u, over_v = np.maximum(0.0, -gap_u), np.maximum(0.0, -gap_v)
     removal = np.minimum(cfg.lam * _aggregate(over_u, over_v, cfg.agg), 1.0)
     return 1.0 - removal
 
 
-def fitted_ecdfs(degree_source: Graph, cfg: SamplerConfig) -> Tuple[Ecdf, Ecdf]:
-    """Fit the degree source and return (graph eCDF, ideal-sequence eCDF).
+def fitted_ecdfs(node_degrees: np.ndarray, fit: PowerLawFit, cfg: SamplerConfig) -> Tuple[Ecdf, Ecdf]:
+    """(graph eCDF, ideal-sequence eCDF) of per-node degrees and their power-law fit.
 
     The ideal sequence has one entry per non-isolated node, drawn from
     Pareto(x_m = fitted d_min, shape = fitted beta). In directional mode
     the graph eCDF is conditioned on the fitted tail so both distributions
     share the support [d_min, inf).
     """
-    degrees = degree_sequence(degree_source, drop_isolated=True)
-    fit = fit_power_law(degrees, min_tail=adaptive_min_tail(degrees.size))
+    degrees = node_degrees[node_degrees > 0]
     ideal = pareto_sequence(
         float(fit.d_min), fit.beta_hat, degrees.size, derive_seed(cfg.seed, "ideal-sequence")
     )
@@ -169,21 +160,20 @@ def _rebalance(kept: np.ndarray, rng) -> np.ndarray:
     return out
 
 
-def sample_edges(train, val, calib, degree_source: Graph, cfg: SamplerConfig):
+def sample_edges(train, val, calib, node_degrees: np.ndarray, fit: PowerLawFit, cfg: SamplerConfig):
     """Independently retain train/val/calib edges by their keep probability.
 
-    Degrees are read once from ``degree_source`` (the training subgraph)
-    before any removal; each edge uses one uniform draw indexed by
-    (seed, u, v, label), so the outcome is a pure function of the inputs
-    and the seed. Class balance is restored within each subset by
-    down-sampling the majority label. The test set is never touched.
+    ``node_degrees`` are the training subgraph's per-node degrees before any
+    removal and ``fit`` their power-law fit. Each edge uses one uniform draw
+    indexed by (seed, u, v, label), so the outcome is a pure function of the
+    inputs and the seed. Class balance is restored within each subset by
+    down-sampling the majority label; the test set is never touched.
     Each subset is given as (k, 3) rows of (u, v, label) and returned as a
     read-only (k', 3) int64 array.
 
     Raises DegenerateCalibrationError when no calibration edge survives.
     """
-    node_degrees = degree_sequence(degree_source)
-    ecdf_orig, ecdf_ideal = fitted_ecdfs(degree_source, cfg)
+    ecdf_orig, ecdf_ideal = fitted_ecdfs(node_degrees, fit, cfg)
     edge_seed = derive_seed(cfg.seed, "edge-draws")
     out = []
     for name, subset in (("train", train), ("val", val), ("calib", calib)):

@@ -205,10 +205,12 @@ def test_criterion_8_sampler_reduces_ks():
         neg = lc.negative_sample(g, len(pos), seed=derive_seed(777, seed, "neg"))
         split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=derive_seed(777, seed, "split"))
         sub = lc.training_subgraph(g, split)
-        d0 = lc.degree_sequence(sub, drop_isolated=True)
-        ks_before = lc.fit_power_law(d0, min_tail=adaptive_min_tail(d0.size)).ks
+        node_deg = lc.degree_sequence(sub)
+        d0 = node_deg[node_deg > 0]
+        fit = lc.fit_power_law(d0, min_tail=adaptive_min_tail(d0.size))
+        ks_before = fit.ks
         sampler = SamplerConfig(lam=1.0, mode="directional", seed=derive_seed(777, seed, "samp"))
-        train, val, _ = sample_edges(split.train, split.val, split.calib, sub, sampler)
+        train, val, _ = sample_edges(split.train, split.val, split.calib, node_deg, fit, sampler)
         kept = np.concatenate([train, val])
         sampled = sub.with_edges(kept[kept[:, 2] == 1, :2])
         d1 = lc.degree_sequence(sampled, drop_isolated=True)
@@ -246,11 +248,14 @@ def test_criterion_10_lambda_monotonicity():
     split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=13)
     sub = lc.training_subgraph(g, split)
     node_deg = lc.degree_sequence(sub)
+    from linkconformal.powerlaw import adaptive_min_tail
     from linkconformal.sampling import fitted_ecdfs
+    d0 = node_deg[node_deg > 0]
+    fit = lc.fit_power_law(d0, min_tail=adaptive_min_tail(d0.size))
     totals = []
     for lam in (0.45, 0.30, 0.15):
         sampler = SamplerConfig(lam=lam, mode="literal", seed=14)
-        eo, ei = fitted_ecdfs(sub, sampler)
+        eo, ei = fitted_ecdfs(node_deg, fit, sampler)
         edges = np.concatenate([split.train, split.val, split.calib])
         totals.append(float(keep_probabilities(edges, node_deg, sampler, eo, ei).sum()))
     ok = totals[0] >= totals[1] >= totals[2]

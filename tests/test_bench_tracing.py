@@ -12,10 +12,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from linkconformal.config import RunConfig
 from linkconformal.model import ModelConfig
-from linkconformal.pipeline import load_graph, run_pipeline
+from linkconformal.pipeline import load_graph, run_pipeline, sweep_cliques, sweep_lambda
 from linkconformal.quantile import QuantileConfig
+
+from test_pipeline import tiny_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,3 +64,26 @@ def test_traced_run_passes_the_bench_output_checks(monkeypatch):
     check = run.Checker()
     layers.check_phase(check, tracer, tracer.phase, records)
     assert check.failures == []
+
+
+# Each trial fits its training subgraph once, for ks_before and every sampled
+# arm; each sampled arm fits its sampled graph once, for ks_after; and
+# sweep_cliques fits the base graph once for every n = 0 variant, and not at
+# all on a grid without an n = 0 point.
+@pytest.mark.parametrize("run, fits", [
+    # ks_before, then ks_after of the one sampled arm
+    (lambda: run_pipeline(tiny_config(n_splits=1, n_reps=1)), 2),
+    # ks_before, then one ks_after per lambda
+    (lambda: sweep_lambda(tiny_config(sampler_mode="directional"), [0.5, 1.0, 4.0]), 4),
+    # the golden grid: six plain trials, the base graph, two injected variants
+    (lambda: sweep_cliques(tiny_config(run_sampled_arm=False), [(5, 0), (8, 2), (9, 0)],
+                           n_variants=2), 9),
+    # no n = 0 point: two plain trials and two injected variants
+    (lambda: sweep_cliques(tiny_config(run_sampled_arm=False), [(8, 2)], n_variants=2), 4),
+], ids=["run_pipeline", "sweep_lambda", "sweep_cliques", "sweep_cliques_no_base_point"])
+def test_power_law_fit_count(monkeypatch, run, fits):
+    tracing = _load_bench_module(monkeypatch, "tracing")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run()
+    assert len(tracer.calls_named("powerlaw.fit")) == fits

@@ -117,6 +117,18 @@ class TestRunPipeline:
         assert record.error == "the test set is empty: it has 0 edges"
         assert record.coverage is None and record.q_hat is None
 
+    def test_no_power_law_fit_recorded_as_sampled_arm_error(self):
+        # every node of a perfect matching has degree 1: one distinct degree
+        # admits no power-law fit, so there is no KS and nothing to sample toward
+        matching = Graph(400, np.arange(400).reshape(-1, 2))
+        report = run_pipeline(tiny_config(n_splits=1, n_reps=1), graph=matching)
+        cqr, sampled = report.trials
+        assert (cqr.arm, cqr.error, cqr.ks_before) == ("cqr", None, None)
+        assert cqr.coverage == pytest.approx(0.9125)
+        assert sampled.arm == "sampled" and sampled.ks_before is None
+        assert sampled.error == "the training subgraph admits no power-law fit"
+        assert sampled.coverage is None and sampled.ks_after is None
+
     def test_report_text_is_standard_json(self):
         def reject(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")

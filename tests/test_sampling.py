@@ -3,10 +3,10 @@ import pytest
 
 from linkconformal.errors import DegenerateCalibrationError
 from linkconformal.graph import generate_powerlaw_graph, inject_cliques, degree_sequence, split_edges, training_subgraph, negative_sample
+from linkconformal.powerlaw import adaptive_min_tail, fit_power_law
 from linkconformal.sampling import (
     Ecdf,
     SamplerConfig,
-    deviation,
     ecdf,
     edge_keep_probability,
     fitted_ecdfs,
@@ -14,7 +14,6 @@ from linkconformal.sampling import (
     pareto_inverse_cdf,
     pareto_sequence,
     sample_edges,
-    signed_deviation,
 )
 
 
@@ -76,6 +75,13 @@ class TestEcdf:
             ecdf([])
 
 
+def deviation(d, ecdf_orig, ecdf_ideal):
+    """|eCDF_orig(d) - eCDF_ideal(d)|: the literal keep probability of a (d, d)
+    edge at lambda 1 with max aggregation."""
+    cfg = SamplerConfig(lam=1.0, agg="max", mode="literal")
+    return edge_keep_probability(d, d, cfg, ecdf_orig, ecdf_ideal)
+
+
 class TestDeviation:
     def test_identity(self):
         a = ecdf([1, 2, 3, 4])
@@ -90,9 +96,14 @@ class TestDeviation:
     def test_symmetry(self):
         a = ecdf([1, 1, 2])
         b = ecdf([2, 3, 3])
+        directional = SamplerConfig(lam=1.0, agg="max", mode="directional")
         for d in range(5):
             assert deviation(d, a, b) == deviation(d, b, a)
-            assert signed_deviation(d, a, b) == -signed_deviation(d, b, a)
+            # directional removes max(0, -gap) of the signed gap; the two
+            # orders split the literal |gap| between them
+            removals = [1.0 - edge_keep_probability(d, d, directional, x, y) for x, y in ((a, b), (b, a))]
+            assert min(removals) == 0.0
+            assert max(removals) == pytest.approx(deviation(d, a, b))
 
 
 class TestKeepProbability:
@@ -152,71 +163,78 @@ def row_set(rows):
     return set(map(tuple, rows.tolist()))
 
 
+def degree_fit(sub):
+    """The training subgraph's node degrees and their fit, as a trial makes them."""
+    node_deg = degree_sequence(sub)
+    positive = node_deg[node_deg > 0]
+    return node_deg, fit_power_law(positive, min_tail=adaptive_min_tail(positive.size))
+
+
 def clique_setup(seed=0):
+    """A split of a clique-injected graph, and its subgraph's degrees and fit."""
     g = generate_powerlaw_graph(600, 2.5, 1, seed=seed)
     g = inject_cliques(g, 12, 4, seed=seed + 1)
     pos = sorted(g.edges)
     neg = negative_sample(g, len(pos), seed=seed + 2)
     split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=seed + 3)
-    return split, training_subgraph(g, split)
+    return (split, *degree_fit(training_subgraph(g, split)))
 
 
 class TestSampleEdges:
     def test_keep_all_is_identity(self):
-        split, sub = clique_setup(seed=10)
+        split, node_deg, fit = clique_setup(seed=10)
         # directional on a perfectly fitted graph touches nothing; force the
         # stronger statement with lambda 0 (removal probability 0 everywhere)
         cfg = SamplerConfig(lam=0.0, mode="directional", seed=1)
-        train, val, calib = sample_edges(split.train, split.val, split.calib, sub, cfg)
+        train, val, calib = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
         assert row_set(train) == row_set(split.train)
         assert row_set(val) == row_set(split.val)
         assert row_set(calib) == row_set(split.calib)
 
     def test_keep_none_degenerates(self):
-        split, sub = clique_setup(seed=11)
+        split, node_deg, fit = clique_setup(seed=11)
         cfg = SamplerConfig(lam=0.0, mode="literal", seed=2)
         with pytest.raises(DegenerateCalibrationError):
-            sample_edges(split.train, split.val, split.calib, sub, cfg)
+            sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
 
     def test_output_subset_labels_unchanged(self):
-        split, sub = clique_setup(seed=12)
+        split, node_deg, fit = clique_setup(seed=12)
         cfg = SamplerConfig(lam=1.0, mode="literal", seed=3)
-        train, val, calib = sample_edges(split.train, split.val, split.calib, sub, cfg)
+        train, val, calib = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
         for kept, original in ((train, split.train), (val, split.val), (calib, split.calib)):
             assert row_set(kept) <= row_set(original)
 
     def test_class_balance_restored(self):
-        split, sub = clique_setup(seed=13)
+        split, node_deg, fit = clique_setup(seed=13)
         cfg = SamplerConfig(lam=0.8, mode="literal", seed=4)
-        train, val, calib = sample_edges(split.train, split.val, split.calib, sub, cfg)
+        train, val, calib = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
         for subset in (train, val, calib):
             n_pos = int(subset[:, 2].sum())
             assert 2 * n_pos == len(subset)
 
     def test_deterministic_and_order_independent(self):
-        split, sub = clique_setup(seed=14)
+        split, node_deg, fit = clique_setup(seed=14)
         cfg = SamplerConfig(lam=1.2, mode="literal", seed=5)
-        first = sample_edges(split.train, split.val, split.calib, sub, cfg)
-        second = sample_edges(split.train, split.val, split.calib, sub, cfg)
+        first = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
+        second = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
         assert len(first) == len(second) == 3
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
         reversed_train = split.train[::-1]
-        third = sample_edges(reversed_train, split.val, split.calib, sub, cfg)
+        third = sample_edges(reversed_train, split.val, split.calib, node_deg, fit, cfg)
         assert row_set(third[0]) == row_set(first[0])
 
     def test_test_set_untouched(self):
-        split, sub = clique_setup(seed=15)
+        split, node_deg, fit = clique_setup(seed=15)
         cfg = SamplerConfig(lam=0.7, mode="literal", seed=6)
         before = split.test.copy()
-        sample_edges(split.train, split.val, split.calib, sub, cfg)
+        sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
         assert np.array_equal(split.test, before)
 
     def test_expected_retention_matches_empirical(self):
         from linkconformal.seeding import derive_seed, edge_uniforms
-        split, sub = clique_setup(seed=16)
-        node_deg = degree_sequence(sub)
+        split, node_deg, fit = clique_setup(seed=16)
         cfg = SamplerConfig(lam=1.0, mode="literal", seed=0)
-        eo, ei = fitted_ecdfs(sub, cfg)
+        eo, ei = fitted_ecdfs(node_deg, fit, cfg)
         probs = keep_probabilities(split.train, node_deg, cfg, eo, ei)
         expected = probs.sum()
         variance = float(np.sum(probs * (1 - probs)))
@@ -229,7 +247,6 @@ class TestSampleEdges:
         assert abs(np.mean(counts) - expected) < 4 * np.sqrt(variance / 20)
 
     def test_directional_reduces_ks_on_clique_graph(self):
-        from linkconformal.powerlaw import adaptive_min_tail, fit_power_law
         from linkconformal.seeding import derive_seed
         reduced = 0
         for seed in range(5):
@@ -239,10 +256,10 @@ class TestSampleEdges:
             neg = negative_sample(g, len(pos), seed=derive_seed(777, seed, "neg"))
             split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=derive_seed(777, seed, "split"))
             sub = training_subgraph(g, split)
-            d0 = degree_sequence(sub, drop_isolated=True)
-            ks_before = fit_power_law(d0, min_tail=adaptive_min_tail(d0.size)).ks
+            node_deg, fit = degree_fit(sub)
+            ks_before = fit.ks
             cfg = SamplerConfig(lam=1.0, mode="directional", seed=derive_seed(777, seed, "samp"))
-            train, val, _ = sample_edges(split.train, split.val, split.calib, sub, cfg)
+            train, val, _ = sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
             kept = np.concatenate([train, val])
             sampled = sub.with_edges(kept[kept[:, 2] == 1, :2])
             d1 = degree_sequence(sampled, drop_isolated=True)
