@@ -64,15 +64,6 @@ from .quantile import (
     pinball_loss,
     quantile_gradient_check,
 )
-from .sampling import (
-    Ecdf,
-    SamplerConfig,
-    ecdf,
-    edge_keep_probability,
-    keep_probabilities,
-    pareto_inverse_cdf,
-    pareto_sequence,
-    sample_edges,
-)
+from .sampling import SamplerConfig, keep_probabilities, pareto_sequence, sample_edges
 
 __version__ = "0.1.0"

@@ -57,8 +57,9 @@ class Graph:
 
     ``edges`` may be an (E, 2) array or any iterable of node pairs.
     ``features`` are copied into a read-only float64 (num_nodes, d) matrix,
-    which every graph derived by ``with_edges`` shares. Non-finite features
-    raise ValueError naming the first node that has one.
+    which every graph derived by ``with_edges`` shares; ``with_features``
+    shares the edge array instead. Non-finite features raise ValueError
+    naming the first node that has one.
     """
 
     def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
@@ -111,7 +112,10 @@ class Graph:
         return graph
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        return Graph(self.num_nodes, self._pairs, features)
+        """This graph with ``features`` attached, sharing its read-only edge array."""
+        graph = Graph(self.num_nodes, (), features)
+        graph.__dict__["_pairs"] = self._pairs
+        return graph
 
 
 _SUBSET_NAMES = ("train", "val", "calib", "test")
@@ -368,8 +372,8 @@ def generate_powerlaw_graph(num_nodes: int, beta: float, d_min: int, seed: int) 
     """
     if num_nodes < 10:
         raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta}")
+    if not 1.0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
     if d_min < 1:
         raise ValueError(f"d_min must be >= 1, got {d_min}")
     rng = derive_rng(seed, "powerlaw-graph")
@@ -408,8 +412,8 @@ def generate_latent_powerlaw_graph(
     """
     if num_nodes < 10:
         raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta}")
+    if not 1.0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
     if d_min < 1:
         raise ValueError(f"d_min must be >= 1, got {d_min}")
     if homophily < 0:

@@ -55,9 +55,9 @@ def hurwitz_zeta(beta: float, a):
     Parameters
     ----------
     beta : float
-        Exponent; the series diverges for beta <= 1.
+        Finite exponent; the series diverges for beta <= 1.
     a : float or ndarray
-        Offset(s), each > 0.
+        Offset(s), each > 0 (not NaN).
 
     Returns
     -------
@@ -70,10 +70,10 @@ def hurwitz_zeta(beta: float, a):
     Euler-Maclaurin expansion: integral term x0^(1-beta)/(beta-1) plus the
     half-term and the first two Bernoulli corrections at x0 = a + 10^4.
     """
-    if beta <= 1.0:
-        raise ValueError(f"hurwitz zeta diverges for beta <= 1, got beta={beta}")
+    if not 1.0 < beta < np.inf:
+        raise ValueError(f"hurwitz zeta needs a finite beta > 1, got beta={beta}")
     a_arr = np.asarray(a, dtype=np.float64)
-    if np.any(a_arr <= 0.0):
+    if not np.all(a_arr > 0.0):
         raise ValueError("offset a must be positive")
     i = np.arange(_ZETA_TERMS, dtype=np.float64)
     flat = np.atleast_1d(a_arr).ravel()

@@ -1,30 +1,26 @@
 """Degree-guided edge resampling toward a fitted power law.
 
-Builds an ideal Pareto degree sequence from a power-law fit the caller
-supplies, measures per-degree deviations between the graph's empirical
-degree CDF and the ideal one, and keeps or removes edges by them.
+``keep_probabilities`` gives each edge a keep probability from its endpoint
+degrees d: gap(d) = graph CDF(d) - ideal CDF(d), where the ideal is a Pareto
+degree sequence drawn from the caller's power-law fit. Two modes are shipped:
 
-Two modes are shipped:
-
-* ``literal``    - the keep probability is min(lambda * S(dvia_u, dvia_v), 1),
-  applied directly, with dvia measured between the full degree sequence
-  and the ideal sequence; edges whose endpoint degrees deviate more are
-  more likely to be retained.
+* ``literal``    - the keep probability is min(lambda * S(|gap_u|, |gap_v|), 1),
+  with the graph CDF over the full degree sequence; edges whose endpoint
+  degrees deviate more are more likely to be retained.
 * ``directional`` (default) - min(lambda * S(o_u, o_v), 1) is a removal
-  probability, where o(d) = max(0, ideal_cdf(d) - graph_cdf(d)) is the
-  over-representation of degrees >= d relative to the ideal. Both CDFs are
-  conditioned on the fitted tail (d >= d_min): the ideal Pareto sequence
-  starts at the fitted d_min, so comparing it against the full degree
-  sequence would flag nothing (the ideal is stochastically larger
-  everywhere). On the shared tail support, excess high-degree mass (for
-  example injected cliques) shows up as o > 0 exactly there, and a
-  well-fitted graph is left untouched.
+  probability, where o(d) = max(0, -gap(d)) is the over-representation of
+  degrees >= d relative to the ideal. Both CDFs are conditioned on the
+  fitted tail (d >= d_min): the ideal sequence starts at the fitted d_min,
+  so against the full degree sequence it would flag nothing. On the shared
+  tail support, excess high-degree mass (for example injected cliques)
+  shows up as o > 0 exactly there, and a well-fitted graph is left untouched.
+
+S is the sum or the max of the two endpoint terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -38,20 +34,6 @@ from .powerlaw import fit_power_law  # noqa: F401
 
 
 @dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF of a non-empty sample."""
-
-    support: np.ndarray  # sorted unique values
-    cumfrac: np.ndarray  # fraction of the sample <= support[i]
-
-    def __call__(self, d):
-        idx = np.searchsorted(self.support, d, side="right")
-        padded = np.concatenate([[0.0], self.cumfrac])
-        out = padded[idx]
-        return float(out) if np.ndim(d) == 0 else out
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
     lam: float = 0.3
     agg: str = "sum"  # aggregation over the two endpoint deviations
@@ -59,90 +41,68 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.agg not in ("sum", "max"):
             raise ValueError(f"agg must be 'sum' or 'max', got {self.agg!r}")
         if self.mode not in ("literal", "directional"):
             raise ValueError(f"mode must be 'literal' or 'directional', got {self.mode!r}")
 
 
-def ecdf(values) -> Ecdf:
-    """Empirical CDF of a degree sequence."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot build an eCDF from an empty sequence")
-    support, counts = np.unique(values, return_counts=True)
-    return Ecdf(support, np.cumsum(counts) / values.size)
+def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.ndarray:
+    """Ideal integer degree sequence from the Pareto(x_m, beta_hat) law.
 
-
-def pareto_inverse_cdf(u, x_m: float, beta_hat: float):
-    """Pareto quantile function x = x_m * (1 - u)^(-1/beta_hat), u in [0, 1)."""
+    Draws ``count`` values by inverse-CDF sampling, x = x_m * (1 - u)^(-1/beta_hat)
+    for u uniform in [0, 1), and discretizes each to max(1, round(x)) with
+    round-half-up.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if x_m <= 0:
         raise ValueError(f"x_m must be positive, got {x_m}")
     if beta_hat <= 0:
         raise ValueError(f"beta_hat must be positive, got {beta_hat}")
-    u = np.asarray(u, dtype=np.float64)
-    return x_m * (1.0 - u) ** (-1.0 / beta_hat)
-
-
-def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.ndarray:
-    """Ideal integer degree sequence from the Pareto(x_m, beta_hat) law.
-
-    Draws ``count`` values by inverse-CDF sampling and discretizes each to
-    max(1, round(x)) with round-half-up.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = derive_rng(seed, "pareto")
-    x = pareto_inverse_cdf(rng.random(count), x_m, beta_hat)
+    x = x_m * (1.0 - derive_rng(seed, "pareto").random(count)) ** (-1.0 / beta_hat)
     return np.maximum(1, np.floor(x + 0.5)).astype(np.int64)
 
 
-def _aggregate(a, b, agg: str):
-    return a + b if agg == "sum" else np.maximum(a, b)
+def _cdf(sample: np.ndarray, d) -> np.ndarray:
+    """Right-continuous empirical CDF of a non-empty ``sample``, evaluated at ``d``."""
+    return np.searchsorted(np.sort(sample), d, side="right") / sample.size
 
 
-def edge_keep_probability(d_u, d_v, cfg: SamplerConfig, ecdf_orig: Ecdf, ecdf_ideal: Ecdf):
-    """Per-edge retention probability from the endpoint degrees.
-
-    Literal mode uses each endpoint's |gap|, directional mode max(0, -gap),
-    where gap = eCDF_orig(d) - eCDF_ideal(d). Vectorized over d_u, d_v; always in [0, 1].
-    """
-    gap_u, gap_v = ecdf_orig(d_u) - ecdf_ideal(d_u), ecdf_orig(d_v) - ecdf_ideal(d_v)
+def _keep_rule(gap_u, gap_v, cfg: SamplerConfig):
+    """Keep probability from the endpoints' CDF gaps, by the rule of ``cfg.mode``."""
     if cfg.mode == "literal":
-        return np.minimum(cfg.lam * _aggregate(np.abs(gap_u), np.abs(gap_v), cfg.agg), 1.0)
-    over_u, over_v = np.maximum(0.0, -gap_u), np.maximum(0.0, -gap_v)
-    removal = np.minimum(cfg.lam * _aggregate(over_u, over_v, cfg.agg), 1.0)
-    return 1.0 - removal
+        dev_u, dev_v = np.abs(gap_u), np.abs(gap_v)
+    else:
+        dev_u, dev_v = np.maximum(0.0, -gap_u), np.maximum(0.0, -gap_v)
+    p = np.minimum(cfg.lam * (dev_u + dev_v if cfg.agg == "sum" else np.maximum(dev_u, dev_v)), 1.0)
+    return p if cfg.mode == "literal" else 1.0 - p
 
 
-def fitted_ecdfs(node_degrees: np.ndarray, fit: PowerLawFit, cfg: SamplerConfig) -> Tuple[Ecdf, Ecdf]:
-    """(graph eCDF, ideal-sequence eCDF) of per-node degrees and their power-law fit.
+def keep_probabilities(edges, node_degrees, fit: PowerLawFit, cfg: SamplerConfig) -> np.ndarray:
+    """Keep probability p(u, v) in [0, 1] of each (u, v[, label]) edge in ``edges``.
 
+    ``node_degrees`` are per-node degrees and ``fit`` their power-law fit.
     The ideal sequence has one entry per non-isolated node, drawn from
     Pareto(x_m = fitted d_min, shape = fitted beta). In directional mode
-    the graph eCDF is conditioned on the fitted tail so both distributions
-    share the support [d_min, inf).
+    the graph's degrees are conditioned on the fitted tail so both CDFs
+    share the support [d_min, inf); a fit whose d_min exceeds every degree
+    raises ValueError.
     """
+    node_degrees = np.asarray(node_degrees)
     degrees = node_degrees[node_degrees > 0]
     ideal = pareto_sequence(
         float(fit.d_min), fit.beta_hat, degrees.size, derive_seed(cfg.seed, "ideal-sequence")
     )
     if cfg.mode == "directional":
-        return ecdf(degrees[degrees >= fit.d_min]), ecdf(ideal)
-    return ecdf(degrees), ecdf(ideal)
-
-
-def keep_probabilities(edges, node_degrees, cfg: SamplerConfig, ecdf_orig: Ecdf, ecdf_ideal: Ecdf) -> np.ndarray:
-    """Keep probability for each (u, v[, label]) edge in ``edges``."""
-    arr = as_edge_rows(edges)
-    if arr.size == 0:
-        return np.zeros(0)
-    node_degrees = np.asarray(node_degrees)
-    return edge_keep_probability(
-        node_degrees[arr[:, 0]], node_degrees[arr[:, 1]], cfg, ecdf_orig, ecdf_ideal
-    )
+        degrees = degrees[degrees >= fit.d_min]
+        if degrees.size == 0:
+            raise ValueError(f"no node degree reaches the fitted d_min={fit.d_min}")
+    gap = _cdf(degrees, node_degrees) - _cdf(ideal, node_degrees)  # per node
+    ends = as_edge_rows(edges)
+    return _keep_rule(gap[ends[:, 0]], gap[ends[:, 1]], cfg)
 
 
 def _rebalance(kept: np.ndarray, rng) -> np.ndarray:
@@ -173,14 +133,15 @@ def sample_edges(train, val, calib, node_degrees: np.ndarray, fit: PowerLawFit, 
 
     Raises DegenerateCalibrationError when no calibration edge survives.
     """
-    ecdf_orig, ecdf_ideal = fitted_ecdfs(node_degrees, fit, cfg)
-    edge_seed = derive_seed(cfg.seed, "edge-draws")
-    out = []
-    for name, subset in (("train", train), ("val", val), ("calib", calib)):
-        rows = as_edge_rows(subset, 3)
-        probs = keep_probabilities(rows, node_degrees, cfg, ecdf_orig, ecdf_ideal)
-        kept = rows[edge_uniforms(edge_seed, rows[:, :2], rows[:, 2]) <= probs]
-        out.append(_rebalance(kept, derive_rng(cfg.seed, "balance", name)))
+    parts = [as_edge_rows(subset, 3) for subset in (train, val, calib)]
+    rows = np.concatenate(parts)
+    draws = edge_uniforms(derive_seed(cfg.seed, "edge-draws"), rows[:, :2], rows[:, 2])
+    keep = draws <= keep_probabilities(rows, node_degrees, fit, cfg)
+    kept = np.split(keep, np.cumsum([len(part) for part in parts[:2]]))
+    out = [
+        _rebalance(part[k], derive_rng(cfg.seed, "balance", name))
+        for name, part, k in zip(("train", "val", "calib"), parts, kept)
+    ]
     if len(calib) and not len(out[2]):
         raise DegenerateCalibrationError(
             f"sampling with lambda={cfg.lam} removed every calibration edge"

@@ -249,15 +249,13 @@ def test_criterion_10_lambda_monotonicity():
     sub = lc.training_subgraph(g, split)
     node_deg = lc.degree_sequence(sub)
     from linkconformal.powerlaw import adaptive_min_tail
-    from linkconformal.sampling import fitted_ecdfs
     d0 = node_deg[node_deg > 0]
     fit = lc.fit_power_law(d0, min_tail=adaptive_min_tail(d0.size))
     totals = []
     for lam in (0.45, 0.30, 0.15):
         sampler = SamplerConfig(lam=lam, mode="literal", seed=14)
-        eo, ei = fitted_ecdfs(node_deg, fit, sampler)
         edges = np.concatenate([split.train, split.val, split.calib])
-        totals.append(float(keep_probabilities(edges, node_deg, sampler, eo, ei).sum()))
+        totals.append(float(keep_probabilities(edges, node_deg, fit, sampler).sum()))
     ok = totals[0] >= totals[1] >= totals[2]
     _report(10, ok, f"expected retained edges over lambda 0.45/0.30/0.15: "
                     f"{[round(t, 2) for t in totals]} (non-increasing)")

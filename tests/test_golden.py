@@ -45,6 +45,13 @@ GOLDEN = {
     "sweep_lambda.json": lambda: _rows(sweep_lambda(
         tiny_config(n_splits=2, sampler_mode="directional"), [0.5, 1.0, 4.0]
     )),
+    # agg="max" in both modes: literal rows first, then directional.
+    "sampler_max.json": lambda: _rows([
+        row for mode in ("literal", "directional")
+        for row in sweep_lambda(
+            tiny_config(n_splits=2, sampler_mode=mode, sampler_agg="max"), [0.5, 2.0]
+        )
+    ]),
     # (5, 0) and (9, 0) are both the uninjected base graph.
     "sweep_cliques.json": lambda: _rows(sweep_cliques(
         tiny_config(run_sampled_arm=False), [(5, 0), (8, 2), (9, 0)], n_variants=2

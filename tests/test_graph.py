@@ -88,6 +88,14 @@ class TestGraphType:
             assert not np.shares_memory(graph.features, feats)
             assert np.array_equal(graph.features, np.ones((3, 2)))
 
+    def test_with_features_shares_the_edge_array(self):
+        g = generate_powerlaw_graph(60, 2.5, 1, seed=3)
+        attached = g.with_features(np.ones((60, 2)))
+        assert attached.edge_array() is g.edge_array()
+        assert attached.num_nodes == g.num_nodes and attached.edges == g.edges
+        with pytest.raises(ValueError, match="features must be"):
+            g.with_features(np.ones((59, 2)))
+
 
 class TestLoadEdgeList:
     def test_basic_parse(self):
@@ -400,6 +408,15 @@ class TestGeneratePowerlawGraph:
             generate_powerlaw_graph(100, 1.0, 1, seed=0)
         with pytest.raises(ValueError):
             generate_powerlaw_graph(100, 2.5, 0, seed=0)
+
+    @pytest.mark.parametrize("generate", [
+        lambda beta: generate_powerlaw_graph(200, beta, 1, seed=0),
+        lambda beta: generate_latent_powerlaw_graph(200, beta, 1, 4, seed=0),
+    ], ids=["plain", "latent"])
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, generate, beta):
+        with pytest.raises(ValueError, match="finite"):
+            generate(beta)
 
 
 class TestLatentPowerlawGraph:

@@ -179,7 +179,9 @@ class TestSweepLambda:
         with pytest.raises(ValueError):
             sweep_lambda(tiny_config(), [])
 
-    @pytest.mark.parametrize("lambdas", [[1.0, 1.0], [0.5, 1, 1.0], [0.5, -1.0]])
+    @pytest.mark.parametrize("lambdas", [
+        [1.0, 1.0], [0.5, 1, 1.0], [0.5, -1.0], [0.5, float("nan")], [float("inf")],
+    ])
     def test_bad_grid_rejected_before_training(self, lambdas, link_trainings):
         with pytest.raises(ValueError):
             sweep_lambda(tiny_config(n_splits=2), lambdas)
@@ -349,6 +351,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"sampler_mode": "bogus"}, {"sampler_agg": "mean"}, {"sampler_lambda": -1.0},
+        {"sampler_lambda": float("inf"), "sampler_mode": "literal"},
+        {"sampler_lambda": float("nan")},
     ])
     def test_sampler_settings_rejected_before_training(self, overrides, link_trainings):
         with pytest.raises(ValueError):
@@ -358,6 +362,11 @@ class TestConfig:
     def test_file_sampler_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             build_run_config({"sampler_mode": "bogus"})
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_file_non_finite_lambda_rejected(self, text):
+        with pytest.raises(ValueError, match="lambda"):
+            build_run_config({"lambda": text})
 
     def test_file_graph_settings_validated(self):
         with pytest.raises(ValueError, match="clique_n"):

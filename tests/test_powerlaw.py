@@ -60,6 +60,15 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError):
             hurwitz_zeta(0.5, 1)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="finite beta"):
+            hurwitz_zeta(beta, 1.0)
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(ValueError, match="offset"):
+            hurwitz_zeta(2.0, np.array([1.0, np.nan]))
+
 
 class TestPmf:
     # At d_min = 1 the CDF at 1 is the pmf at 1, and differences of the

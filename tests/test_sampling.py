@@ -3,33 +3,33 @@ import pytest
 
 from linkconformal.errors import DegenerateCalibrationError
 from linkconformal.graph import generate_powerlaw_graph, inject_cliques, degree_sequence, split_edges, training_subgraph, negative_sample
-from linkconformal.powerlaw import adaptive_min_tail, fit_power_law
+from linkconformal.powerlaw import PowerLawFit, adaptive_min_tail, fit_power_law
 from linkconformal.sampling import (
-    Ecdf,
     SamplerConfig,
-    ecdf,
-    edge_keep_probability,
-    fitted_ecdfs,
+    _cdf,
+    _keep_rule,
     keep_probabilities,
-    pareto_inverse_cdf,
     pareto_sequence,
     sample_edges,
 )
+from linkconformal.seeding import derive_rng, derive_seed, edge_uniforms
 
 
 class TestParetoSequence:
     def test_inverse_cdf_at_zero(self):
-        assert pareto_inverse_cdf(0.0, 3.0, 2.5) == 3.0
+        # the law starts at x_m: the smallest of many draws rounds to it
+        assert pareto_sequence(3.0, 2.5, 1000, seed=0).min() == 3
 
     def test_inverse_cdf_halfway(self):
-        # beta 1, x_m 1: x = 1/(1-u) so u=0.5 gives 2
-        assert pareto_inverse_cdf(0.5, 1.0, 1.0) == pytest.approx(2.0)
+        # beta 1: x = x_m/(1-u); x_m 1e9 makes the rounding invisible
+        u = derive_rng(5, "pareto").random(64)
+        assert pareto_sequence(1e9, 1.0, 64, seed=5) == pytest.approx(1e9 / (1.0 - u))
 
     def test_mean_before_discretization(self):
-        # Pareto mean is beta/(beta-1) = 1.5 for beta 3, x_m 1
-        rng = np.random.default_rng(0)
-        x = pareto_inverse_cdf(rng.random(10**5), 1.0, 3.0)
-        assert abs(x.mean() - 1.5) < 0.02
+        # Pareto mean is beta/(beta-1) * x_m = 1.5 x_m for beta 3; at x_m 1000
+        # rounding moves each draw by at most 0.05% of x_m
+        seq = pareto_sequence(1000.0, 3.0, 10**5, seed=0)
+        assert abs(seq.mean() / 1000.0 - 1.5) < 0.02
 
     def test_discretized_floor(self):
         seq = pareto_sequence(1.0, 3.0, 1000, seed=1)
@@ -43,111 +43,113 @@ class TestParetoSequence:
         with pytest.raises(ValueError):
             pareto_sequence(1.0, 2.5, 0, seed=0)
         with pytest.raises(ValueError):
-            pareto_inverse_cdf(0.5, -1.0, 2.5)
+            pareto_sequence(-1.0, 2.5, 10, seed=0)
         with pytest.raises(ValueError):
-            pareto_inverse_cdf(0.5, 1.0, 0.0)
+            pareto_sequence(1.0, 0.0, 10, seed=0)
 
 
 class TestEcdf:
     def test_fractions(self):
-        e = ecdf([1, 2, 3])
-        assert e(2) == pytest.approx(2 / 3)
+        assert _cdf(np.array([1, 2, 3]), 2) == pytest.approx(2 / 3)
 
     def test_maximum_is_one(self):
-        e = ecdf([4, 7, 7, 9])
-        assert e(9) == 1.0
-        assert e(100) == 1.0
+        assert np.all(_cdf(np.array([4, 7, 7, 9]), [9, 100]) == 1.0)
 
     def test_below_minimum_is_zero(self):
-        e = ecdf([4, 7])
-        assert e(3) == 0.0
+        assert _cdf(np.array([4, 7]), 3) == 0.0
 
     def test_non_decreasing(self):
         rng = np.random.default_rng(1)
-        e = ecdf(rng.integers(1, 50, size=200))
-        grid = np.arange(0, 60)
-        vals = e(grid)
+        vals = _cdf(rng.integers(1, 50, size=200), np.arange(0, 60))
         assert np.all(np.diff(vals) >= 0)
         assert np.all((0 <= vals) & (vals <= 1))
 
     def test_empty_rejected(self):
+        # a graph with no edges has no degrees to build either CDF from
+        fit = PowerLawFit(beta_hat=2.5, d_min=1, ks=0.1, tail_size=1)
         with pytest.raises(ValueError):
-            ecdf([])
+            keep_probabilities([(0, 1)], np.zeros(3, dtype=np.int64), fit, SamplerConfig(mode="literal"))
 
 
-def deviation(d, ecdf_orig, ecdf_ideal):
-    """|eCDF_orig(d) - eCDF_ideal(d)|: the literal keep probability of a (d, d)
+def keep(d_u, d_v, cfg, orig, ideal):
+    """_keep_rule on the gaps between the CDFs of two degree samples."""
+    orig, ideal = np.asarray(orig), np.asarray(ideal)
+    gap_u, gap_v = (_cdf(orig, d) - _cdf(ideal, d) for d in (d_u, d_v))
+    return _keep_rule(gap_u, gap_v, cfg)
+
+
+def deviation(d, orig, ideal):
+    """|CDF_orig(d) - CDF_ideal(d)|: the literal keep probability of a (d, d)
     edge at lambda 1 with max aggregation."""
-    cfg = SamplerConfig(lam=1.0, agg="max", mode="literal")
-    return edge_keep_probability(d, d, cfg, ecdf_orig, ecdf_ideal)
+    return keep(d, d, SamplerConfig(lam=1.0, agg="max", mode="literal"), orig, ideal)
 
 
 class TestDeviation:
     def test_identity(self):
-        a = ecdf([1, 2, 3, 4])
+        a = [1, 2, 3, 4]
         for d in range(6):
             assert deviation(d, a, a) == 0.0
 
     def test_direct_difference(self):
-        a = Ecdf(np.array([1.0]), np.array([0.4]))
-        b = Ecdf(np.array([1.0]), np.array([0.7]))
+        a = [1, 1, 9, 9, 9]  # CDF 0.4 at 5
+        b = [1] * 7 + [9] * 3  # CDF 0.7 at 5
         assert deviation(5, a, b) == pytest.approx(0.3)
 
     def test_symmetry(self):
-        a = ecdf([1, 1, 2])
-        b = ecdf([2, 3, 3])
+        a = [1, 1, 2]
+        b = [2, 3, 3]
         directional = SamplerConfig(lam=1.0, agg="max", mode="directional")
         for d in range(5):
             assert deviation(d, a, b) == deviation(d, b, a)
             # directional removes max(0, -gap) of the signed gap; the two
             # orders split the literal |gap| between them
-            removals = [1.0 - edge_keep_probability(d, d, directional, x, y) for x, y in ((a, b), (b, a))]
+            removals = [1.0 - keep(d, d, directional, x, y) for x, y in ((a, b), (b, a))]
             assert min(removals) == 0.0
             assert max(removals) == pytest.approx(deviation(d, a, b))
 
 
 class TestKeepProbability:
-    def setup_method(self):
-        self.orig = ecdf([1, 1, 2, 3, 8, 9])
-        self.ideal = ecdf([1, 2, 2, 3, 4, 5])
+    orig = [1, 1, 2, 3, 8, 9]
+    ideal = [1, 2, 2, 3, 4, 5]
 
     def test_literal_lambda_zero(self):
         cfg = SamplerConfig(lam=0.0, mode="literal", seed=0)
-        assert edge_keep_probability(1, 2, cfg, self.orig, self.ideal) == 0.0
+        assert keep(1, 2, cfg, self.orig, self.ideal) == 0.0
 
     def test_directional_perfect_fit_keeps(self):
         cfg = SamplerConfig(lam=5.0, mode="directional", seed=0)
-        same = ecdf([1, 2, 3])
-        assert edge_keep_probability(2, 3, cfg, same, same) == 1.0
+        same = [1, 2, 3]
+        assert keep(2, 3, cfg, same, same) == 1.0
 
     def test_clamped_at_one(self):
         cfg = SamplerConfig(lam=1e9, mode="literal", seed=0)
-        assert edge_keep_probability(1, 1, cfg, self.orig, self.ideal) == 1.0
+        assert keep(1, 1, cfg, self.orig, self.ideal) == 1.0
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(2)
         for mode in ("literal", "directional"):
             for agg in ("sum", "max"):
                 cfg = SamplerConfig(lam=float(rng.uniform(0, 10)), mode=mode, agg=agg, seed=0)
-                p = edge_keep_probability(rng.integers(0, 12, 50), rng.integers(0, 12, 50), cfg, self.orig, self.ideal)
+                p = keep(rng.integers(0, 12, 50), rng.integers(0, 12, 50), cfg, self.orig, self.ideal)
                 assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_literal_monotone_in_lambda(self):
         lams = [0.45, 0.30, 0.15]
         edges = [(1, 2), (2, 3), (1, 8), (8, 9)]
         degs = np.arange(10)
+        fit = PowerLawFit(beta_hat=2.5, d_min=1, ks=0.1, tail_size=9)
         totals = []
         for lam in lams:
             cfg = SamplerConfig(lam=lam, mode="literal", seed=0)
-            totals.append(keep_probabilities(edges, degs, cfg, self.orig, self.ideal).sum())
+            totals.append(keep_probabilities(edges, degs, fit, cfg).sum())
         assert totals[0] >= totals[1] >= totals[2]
 
     def test_directional_keep_monotone_as_lambda_grows(self):
         # directional removal grows with lambda, so keep probability falls
         cfg_lo = SamplerConfig(lam=0.5, mode="directional", seed=0)
         cfg_hi = SamplerConfig(lam=4.0, mode="directional", seed=0)
-        p_lo = edge_keep_probability(8, 9, cfg_lo, self.orig, self.ideal)
-        p_hi = edge_keep_probability(8, 9, cfg_hi, self.orig, self.ideal)
+        p_lo = keep(8, 9, cfg_lo, self.orig, self.ideal)
+        p_hi = keep(8, 9, cfg_hi, self.orig, self.ideal)
         assert p_hi <= p_lo
 
     def test_config_validation(self):
@@ -157,6 +159,17 @@ class TestKeepProbability:
             SamplerConfig(agg="mean")
         with pytest.raises(ValueError):
             SamplerConfig(mode="both")
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(lam=lam)
+
+    def test_tail_beyond_every_degree_rejected(self):
+        # directional mode conditions the graph's degrees on d >= d_min
+        fit = PowerLawFit(beta_hat=2.5, d_min=10, ks=0.1, tail_size=1)
+        with pytest.raises(ValueError, match="d_min=10"):
+            keep_probabilities([(1, 2)], np.arange(10), fit, SamplerConfig(mode="directional"))
 
 
 def row_set(rows):
@@ -231,11 +244,9 @@ class TestSampleEdges:
         assert np.array_equal(split.test, before)
 
     def test_expected_retention_matches_empirical(self):
-        from linkconformal.seeding import derive_seed, edge_uniforms
         split, node_deg, fit = clique_setup(seed=16)
         cfg = SamplerConfig(lam=1.0, mode="literal", seed=0)
-        eo, ei = fitted_ecdfs(node_deg, fit, cfg)
-        probs = keep_probabilities(split.train, node_deg, cfg, eo, ei)
+        probs = keep_probabilities(split.train, node_deg, fit, cfg)
         expected = probs.sum()
         variance = float(np.sum(probs * (1 - probs)))
         endpoints = split.train[:, :2]
@@ -246,8 +257,29 @@ class TestSampleEdges:
         ]
         assert abs(np.mean(counts) - expected) < 4 * np.sqrt(variance / 20)
 
+    @pytest.mark.parametrize("mode", ["literal", "directional"])
+    def test_keeps_balanced_subset_of_edges_drawn_under_probability(self, mode):
+        split, node_deg, fit = clique_setup(seed=17)
+        cfg = SamplerConfig(lam=0.8, mode=mode, seed=7)
+        subsets = (split.train, split.val, split.calib)
+        for rows, kept in zip(subsets, sample_edges(*subsets, node_deg, fit, cfg)):
+            draws = edge_uniforms(derive_seed(cfg.seed, "edge-draws"), rows[:, :2], rows[:, 2])
+            eligible = rows[draws <= keep_probabilities(rows, node_deg, fit, cfg)]
+            n_pos = int(eligible[:, 2].sum())
+            assert row_set(kept) <= row_set(eligible)
+            assert len(kept) == 2 * min(n_pos, len(eligible) - n_pos)
+            assert 2 * int(kept[:, 2].sum()) == len(kept)
+
+    @pytest.mark.parametrize("mode", ["literal", "directional"])
+    def test_concatenated_rows_match_per_subset_calls(self, mode):
+        split, node_deg, fit = clique_setup(seed=18)
+        cfg = SamplerConfig(lam=0.8, mode=mode, seed=8)
+        subsets = (split.train, split.val, split.calib, split.test)
+        whole = keep_probabilities(np.concatenate(subsets), node_deg, fit, cfg)
+        parts = [keep_probabilities(rows, node_deg, fit, cfg) for rows in subsets]
+        assert np.array_equal(whole, np.concatenate(parts))
+
     def test_directional_reduces_ks_on_clique_graph(self):
-        from linkconformal.seeding import derive_seed
         reduced = 0
         for seed in range(5):
             g = generate_powerlaw_graph(2000, 2.5, 1, seed=derive_seed(777, seed, "graph"))
