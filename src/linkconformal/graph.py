@@ -42,6 +42,25 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite_rows(matrix: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D float ``matrix`` is finite.
+
+    A row is finite exactly when its min and max (with 0) are, which takes
+    two floats per row instead of a boolean mask of the matrix's shape.
+    """
+    return np.isfinite(matrix.min(axis=1, initial=0.0)) & np.isfinite(matrix.max(axis=1, initial=0.0))
+
+
+def _checked_features(features: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``features`` frozen in place, once they are a finite (num_nodes, d) matrix."""
+    if features.ndim != 2 or features.shape[0] != num_nodes:
+        raise ValueError(f"features must be ({num_nodes}, d), got {features.shape}")
+    finite = _finite_rows(features)
+    if not finite.all():
+        raise ValueError(f"features of node {np.argmin(finite)} are not finite")
+    return _frozen(features)
+
+
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per (u, v, label) row with label 0 or 1.
 
@@ -76,13 +95,7 @@ class Graph:
         keys = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
         keys = keys[np.diff(keys, prepend=-1) > 0]
         if features is not None:
-            features = np.array(features, dtype=np.float64)
-            if features.ndim != 2 or features.shape[0] != num_nodes:
-                raise ValueError(f"features must be ({num_nodes}, d), got {features.shape}")
-            finite = np.isfinite(features).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"features of node {np.argmin(finite)} are not finite")
-            _frozen(features)
+            features = _checked_features(np.array(features, dtype=np.float64), num_nodes)
         self.__dict__.update(
             num_nodes=num_nodes,
             features=features,
@@ -112,9 +125,14 @@ class Graph:
         return graph
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        """This graph with ``features`` attached, sharing its read-only edge array."""
-        graph = Graph(self.num_nodes, (), features)
-        graph.__dict__["_pairs"] = self._pairs
+        """This graph with a copy of ``features`` attached, sharing its read-only edge array."""
+        return self._with_own_features(np.array(features, dtype=np.float64))
+
+    def _with_own_features(self, features: np.ndarray) -> "Graph":
+        """``with_features`` without the copy: the float64 ``features`` are checked
+        and frozen in place, so the caller must hold no other writable reference."""
+        graph = Graph(self.num_nodes)
+        graph.__dict__.update(features=_checked_features(features, self.num_nodes), _pairs=self._pairs)
         return graph
 
 
@@ -238,7 +256,7 @@ def ensure_features(graph: Graph, dim: int, seed: int) -> Graph:
     if graph.features is not None:
         return graph
     rng = derive_rng(seed, "features")
-    return graph.with_features(rng.standard_normal((graph.num_nodes, dim)))
+    return graph._with_own_features(rng.standard_normal((graph.num_nodes, dim)))
 
 
 def negative_sample(graph: Graph, count: int, seed: int):

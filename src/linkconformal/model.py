@@ -205,10 +205,13 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
 _EMBED_BLOCK_ROWS = 8192
 
 
-def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
-    """Batch edge embeddings for an (E, 2) endpoint array."""
+def edge_embeddings(
+    node_embeddings: np.ndarray, endpoints: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Batch edge embeddings for an (E, 2) endpoint array, written into ``out`` when given."""
     endpoints = np.asarray(endpoints, dtype=np.int64)
-    out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
+    if out is None:
+        out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
     for start in range(0, len(endpoints), _EMBED_BLOCK_ROWS):
         rows = endpoints[start : start + _EMBED_BLOCK_ROWS]
         block = out[start : start + _EMBED_BLOCK_ROWS]

@@ -234,10 +234,9 @@ class _TrialBase:
             if not len(rows):
                 raise DegenerateCalibrationError(f"the {name} set is empty: it has 0 edges")
         alpha = self.config.alpha
-        z_fit, y_fit = self.embed(fit_rows)
         seed = derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}")
-        qmodel = fit_quantile_functions(z_fit, y_fit, alpha, self.config.quantile, seed=seed)
-        del z_fit, y_fit
+        qmodel = fit_quantile_functions(self.node_embeddings, fit_rows[:, 2].astype(np.float64), alpha,
+                                        self.config.quantile, seed=seed, endpoints=fit_rows[:, :2])
         z_calib, y_calib = self.embed(calib)
         z_test, y_test = self.test_embedded
         intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, alpha)

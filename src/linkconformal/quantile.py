@@ -4,16 +4,23 @@ A single trunk of three fully connected layers (ReLU between them) ends in
 a 2-wide head producing the lower and upper conditional quantiles jointly;
 the two pinball losses are summed. Quantile crossing is repaired at
 prediction time by sorting the two outputs.
+
+The fit can stream its rows: given node embeddings and node pairs, each
+mini-batch forms its pairs' edge embeddings with ``model.edge_embeddings``
+into a per-fit workspace, so no matrix of all fit rows is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, relu, save_dump
+from .graph import _finite_rows, as_edge_rows
+from .model import _check_endpoints, edge_embeddings
 from .seeding import derive_rng
 
 
@@ -99,30 +106,89 @@ def pinball_loss(prediction, target, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _loss_and_grads(arrays, z, y, levels, want_grads=True):
-    # Returns (loss, None) when not want_grads, else (None, gradients).
+def _views(flat: np.ndarray, shapes):
+    """Consecutive views of the 1-D buffer ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+class _Workspace:
+    """Buffers for ``_loss_and_grads`` on up to ``rows`` rows, for parameters of ``shapes``.
+
+    ``z`` and ``y`` hold a batch. ``a1`` holds the first layer's
+    pre-activation, ReLU'd in place, then d_pre1; ``m1`` is its mask > 0;
+    ``a2`` and ``m2`` do the same for the second layer. ``out`` holds the
+    head outputs, then d_out, and ``ge`` is the mask y >= out. ``grads`` are
+    views of the flat buffer ``grad``, in the order and shapes of the
+    parameters. ``slopes[m]`` holds d loss / d prediction per head for a
+    batch of m rows, one of ``sizes``: row 0 where y >= out (the kink at
+    y == out takes the gamma branch), row 1 elsewhere. One workspace per fit
+    keeps its steps from allocating arrays of the batch's size.
+    """
+
+    def __init__(self, rows: int, shapes, levels, sizes):
+        dim, hidden = shapes[0]
+        self.z = np.empty((rows, dim))
+        self.y = np.empty(rows)
+        self.a1, self.a2 = np.empty((rows, hidden)), np.empty((rows, hidden))
+        self.m1, self.m2 = np.empty((rows, hidden), dtype=bool), np.empty((rows, hidden), dtype=bool)
+        self.out = np.empty((rows, 2))
+        self.ge = np.empty((rows, 2), dtype=bool)
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = _views(self.grad, shapes)
+        lo, hi = levels
+        self.slopes = {m: np.array([[-lo, -hi], [1.0 - lo, 1.0 - hi]]) / m for m in sizes}
+
+
+def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
+    # Returns (loss, None) when not want_grads, else (None, gradients): the views
+    # ``work.grads`` of a ``_Workspace`` for y.size rows (fresh when not given),
+    # whose buffers the call overwrites. ``z`` and ``y`` may be its batch buffers.
     w1, b1, w2, b2, w3, b3 = arrays
-    pre1 = z @ w1 + b1
-    h1 = relu(pre1)
-    pre2 = h1 @ w2 + b2
-    h2 = relu(pre2)
-    out = h2 @ w3 + b3
-    lo, hi = levels
+    rows = y.size
+    work = work or _Workspace(rows, [a.shape for a in arrays], levels, (rows,))
+    a1, m1, a2, m2, out, ge = (buf[:rows] for buf in (work.a1, work.m1, work.a2, work.m2, work.out, work.ge))
+    np.matmul(z, w1, out=a1)
+    a1 += b1
+    np.greater(a1, 0, out=m1)
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, w2, out=a2)
+    a2 += b2
+    np.greater(a2, 0, out=m2)
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, w3, out=out)
+    out += b3
     if not want_grads:
+        lo, hi = levels
         return float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi))), None
-    # d loss / d prediction per head; the kink at t == p takes the gamma branch.
-    d_out = np.where(y[:, None] >= out, (-lo, -hi), (1.0 - lo, 1.0 - hi)) / y.size
-    d_w3 = h2.T @ d_out
-    d_b3 = d_out.sum(axis=0)
-    d_pre2 = d_out @ w3.T
-    d_pre2 *= pre2 > 0
-    d_w2 = h1.T @ d_pre2
-    d_b2 = d_pre2.sum(axis=0)
-    d_pre1 = d_pre2 @ w2.T
-    d_pre1 *= pre1 > 0
-    d_w1 = z.T @ d_pre1
-    d_b1 = d_pre1.sum(axis=0)
-    return None, [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3]
+    d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = work.grads
+    np.greater_equal(y[:, None], out, out=ge)
+    slopes = work.slopes[rows]
+    d_out = out
+    d_out[...] = slopes[1]
+    np.copyto(d_out, slopes[0], where=ge)
+    np.matmul(a2.T, d_out, out=d_w3)
+    np.sum(d_out, axis=0, out=d_b3)
+    d_pre2 = np.matmul(d_out, w3.T, out=a2)
+    d_pre2 *= m2
+    np.matmul(a1.T, d_pre2, out=d_w2)
+    np.sum(d_pre2, axis=0, out=d_b2)
+    d_pre1 = np.matmul(d_pre2, w2.T, out=a1)
+    d_pre1 *= m1
+    np.matmul(z.T, d_pre1, out=d_w1)
+    np.sum(d_pre1, axis=0, out=d_b1)
+    return None, work.grads
+
+
+def _check_finite(matrix: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first row of ``matrix`` with a non-finite entry."""
+    finite = _finite_rows(matrix)
+    if not finite.all():
+        raise ValueError(f"{name} row {np.argmin(finite)} is not finite")
 
 
 def fit_quantile_functions(
@@ -131,25 +197,41 @@ def fit_quantile_functions(
     alpha: float,
     config: Optional[QuantileConfig] = None,
     seed: int = 0,
+    *,
+    endpoints=None,
 ) -> QuantileModel:
     """Jointly minimize the summed pinball losses at levels alpha/2, 1 - alpha/2.
 
-    Runs a fixed number of epochs of mini-batch momentum descent;
-    deterministic given (inputs, config, seed).
+    The fit rows are ``embeddings``, one per label. With ``endpoints``, an
+    (m, 2) array of node pairs, ``embeddings`` are node embeddings instead,
+    and the fit rows are the pairs' edge embeddings: each mini-batch forms
+    its own rows, so the (m, d) matrix of fit rows is never built. Runs a
+    fixed number of epochs of mini-batch momentum descent; deterministic
+    given (inputs, config, seed). Before any step, a non-finite embedding or
+    label raises ValueError naming its row, and an endpoint outside
+    [0, len(embeddings)) raises IndexError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     config = config or QuantileConfig()
     z = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
-    if z.shape[0] == 0:
+    if endpoints is None:
+        n, rows_name = len(z), "embeddings"
+    else:
+        endpoints = as_edge_rows(endpoints, 2)
+        _check_endpoints(endpoints, len(z), "fit")
+        n, rows_name = len(endpoints), "endpoint pairs"
+    if n == 0:
         raise ValueError("cannot fit quantile functions on empty data")
-    if z.shape[0] != y.size:
-        raise ValueError(f"{z.shape[0]} embeddings vs {y.size} labels")
+    if n != y.size:
+        raise ValueError(f"{n} {rows_name} vs {y.size} labels")
+    _check_finite(z, "embeddings")
+    _check_finite(y[:, None], "labels")
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
     rng = derive_rng(seed, "fit-quantiles")
     dim, k = z.shape[1], config.hidden_dim
-    arrays = [
+    initial = [
         init_weight(rng, dim, (dim, k)),
         np.zeros(k),
         init_weight(rng, k, (k, k)),
@@ -157,13 +239,28 @@ def fit_quantile_functions(
         init_weight(rng, k, (k, 2)),
         np.zeros(2),
     ]
-    optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
+    # The parameters are views of one flat buffer, laid out as the workspace's
+    # gradients, so that each step is one optimizer update.
+    shapes = [a.shape for a in initial]
+    params = np.concatenate([a.ravel() for a in initial])
+    arrays = _views(params, shapes)
+    batch_size = config.batch_size
+    # Every batch has batch_size rows, except a shorter last one.
+    work = _Workspace(min(batch_size, n), shapes, levels, {min(batch_size, n), n % batch_size} - {0})
+    optimizer = MomentumSGD([params], config.learning_rate, config.momentum)
     for _ in range(config.epochs):
-        order = rng.permutation(y.size)
-        for start in range(0, y.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, grads = _loss_and_grads(arrays, z[batch], y[batch], levels)
-            optimizer.step(arrays, grads)
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            zb, yb = work.z[: batch.size], work.y[: batch.size]
+            # "wrap" skips the copy that "raise" makes; a permutation is in range.
+            if endpoints is None:
+                np.take(z, batch, axis=0, out=zb, mode="wrap")
+            else:
+                edge_embeddings(z, endpoints[batch], out=zb)
+            np.take(y, batch, out=yb, mode="wrap")
+            _loss_and_grads(arrays, zb, yb, levels, work=work)
+            optimizer.step([params], [work.grad])
     for a in arrays:
         a.flags.writeable = False
     return QuantileModel(*arrays, levels=levels)

@@ -87,3 +87,18 @@ def test_power_law_fit_count(monkeypatch, run, fits):
     with tracer.installed():
         run()
     assert len(tracer.calls_named("powerlaw.fit")) == fits
+
+
+def test_two_arm_trial_streams_its_fit_rows(monkeypatch):
+    # The quantile fit forms each mini-batch's edge embeddings itself, so the
+    # traced calls are the trial's test set and each arm's calibration set,
+    # and the fits take as many steps as on a full fit-row matrix.
+    monkeypatch.syspath_prepend(str(BENCH))
+    _, tracing, layers = (_load_bench_module(monkeypatch, name) for name in ("checks", "tracing", "layers"))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = run_pipeline(tiny_config(n_splits=1, n_reps=1))
+    assert [(t.arm, t.error) for t in report.trials] == [("cqr", None), ("sampled", None)]
+    values = layers.phase_metrics(tracer, tracer.phase)
+    assert values["model.edge_embeddings_calls"] == 3
+    assert (values["quantile.fit_calls"], values["quantile.steps"]) == (2, 120)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -450,3 +452,17 @@ class TestEnsureFeatures:
     def test_keeps_existing(self):
         g = Graph(2, frozenset({(0, 1)}), features=[[1.0], [2.0]])
         assert ensure_features(g, 7, seed=0) is g
+
+    def test_draw_is_frozen_in_place_not_copied(self):
+        # A copy of the drawn matrix would peak at twice its size.
+        g = Graph(100_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ensure_features(g, 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.features.shape == (100_000, 16) and not out.features.flags.writeable
+        assert out.edge_array() is g.edge_array()
+        assert peak <= 1.1 * out.features.nbytes

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import linkconformal.quantile as quantile_mod
 from linkconformal.quantile import (
     QuantileConfig,
     QuantileModel,
@@ -141,11 +142,61 @@ class TestFit:
             tracemalloc.stop()
         assert peak < z.nbytes
 
+    def test_streamed_fit_peak_below_one_fit_row_matrix(self):
+        # Each mini-batch forms its own edge embeddings from the node embeddings.
+        rng = np.random.default_rng(21)
+        h = rng.standard_normal((2_000, 8))
+        rows = rng.integers(0, 2_000, size=(20_000, 2))
+        y = (rng.random(20_000) < 0.5).astype(float)
+        cfg = QuantileConfig(epochs=2, learning_rate=2e-2, batch_size=256, hidden_dim=16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_quantile_functions(h, y, 0.1, cfg, seed=22, endpoints=rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < len(rows) * h.shape[1] * h.itemsize
+
     def test_validations(self):
         with pytest.raises(ValueError):
             fit_quantile_functions(np.empty((0, 3)), [], 0.1, FAST, seed=0)
         with pytest.raises(ValueError):
             fit_quantile_functions(np.ones((4, 3)), [1, 0, 1, 0], 1.2, FAST, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_before_any_step(self, bad, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(quantile_mod, "_loss_and_grads", no_step)
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((30, 4))
+        y = rng.random(30)
+        rows = rng.integers(0, 30, size=(30, 2))
+        z_bad = z.copy()
+        z_bad[3, 1] = bad
+        z_bad[5, 0] = np.nan
+        y_bad = y.copy()
+        y_bad[4] = bad
+        for args, kwargs, row in (
+            ((z_bad, y), {}, "embeddings row 3"),
+            ((z_bad, y), {"endpoints": rows}, "embeddings row 3"),
+            ((z, y_bad), {}, "labels row 4"),
+            ((z, y_bad), {"endpoints": rows}, "labels row 4"),
+        ):
+            with pytest.raises(ValueError, match=f"^{row} is not finite$"):
+                fit_quantile_functions(*args, 0.1, FAST, seed=24, **kwargs)
+
+    def test_endpoint_errors(self):
+        h, y = np.ones((5, 3)), np.zeros(4)
+        with pytest.raises(ValueError, match="^3 endpoint pairs vs 4 labels$"):
+            fit_quantile_functions(h, y, 0.1, FAST, endpoints=[[0, 1]] * 3)
+        with pytest.raises(ValueError, match="width 2"):
+            fit_quantile_functions(h, y, 0.1, FAST, endpoints=np.zeros((4, 3), dtype=np.int64))
+        for bad in (5, -1):
+            with pytest.raises(IndexError, match=f"^fit endpoint {bad} is out of range for num_nodes=5$"):
+                fit_quantile_functions(h, y, 0.1, FAST, endpoints=[[0, 1], [2, bad], [1, 1], [0, 0]])
 
 
 class TestGradientCheck:
@@ -190,6 +241,7 @@ class TestModelIO:
 # the gradient path, kept verbatim. The fit now must match them bit for bit.
 
 from linkconformal._nn import MomentumSGD, init_weight, relu
+from linkconformal.model import edge_embeddings
 from linkconformal.quantile import _loss_and_grads
 from linkconformal.seeding import derive_rng
 
@@ -260,6 +312,22 @@ class TestFitMatchesOracle:
         expected = reference_fit_arrays(z, y, 0.1, cfg, seed=16)
         for got, want in zip(model.param_arrays(), expected):
             assert np.array_equal(got, want)
+
+    def test_streamed_fit_with_ragged_last_batch_and_repeated_endpoints(self):
+        rng = np.random.default_rng(25)
+        h = rng.standard_normal((40, 5))
+        rows = rng.integers(0, 40, size=(203, 2))
+        rows[7] = rows[3]
+        y = (rng.random(203) < 0.5).astype(float)
+        cfg = QuantileConfig(epochs=40, learning_rate=2e-2, batch_size=32, hidden_dim=9)
+        assert y.size % cfg.batch_size != 0
+        assert len(np.unique(rows, axis=0)) < len(rows)
+        streamed = fit_quantile_functions(h, y, 0.1, cfg, seed=26, endpoints=rows)
+        z = edge_embeddings(h, rows)
+        on_rows = fit_quantile_functions(z, y, 0.1, cfg, seed=26)
+        expected = reference_fit_arrays(z, y, 0.1, cfg, seed=26)
+        for got, fitted, want in zip(streamed.param_arrays(), on_rows.param_arrays(), expected):
+            assert got.tobytes() == fitted.tobytes() == want.tobytes()
 
     def test_step_matches_and_loss_path_is_loss_only(self):
         rng = np.random.default_rng(17)
