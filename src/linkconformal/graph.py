@@ -276,6 +276,9 @@ def negative_sample(graph: Graph, count: int, seed: int):
         raise CapacityError(f"requested {count} non-edges but only {capacity} exist")
     rng = derive_rng(seed, "negative-sample")
     edges = graph.edge_array()
+    # Both key arrays stay ascending (the edge rows are in lexicographic
+    # order), so that a round tests membership by binary search and merges
+    # its new keys in.
     edge_keys = edges[:, 0] * n + edges[:, 1]
     accepted = np.empty(0, dtype=np.int64)
     while accepted.size < count:
@@ -283,10 +286,21 @@ def negative_sample(graph: Graph, count: int, seed: int):
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
         keys = (np.minimum(us, vs) * n + np.maximum(us, vs))[us != vs]
-        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
-        keys = keys[~np.isin(keys, edge_keys) & ~np.isin(keys, accepted)]
-        accepted = np.concatenate([accepted, keys[: count - accepted.size]])
-    return np.column_stack(np.divmod(np.sort(accepted), n))
+        # The batch's distinct keys in ascending order, tested against both
+        # key arrays, then the fresh ones' first draws in draw order.
+        distinct, first = np.unique(keys, return_index=True)
+        fresh = ~_sorted_contains(edge_keys, distinct) & ~_sorted_contains(accepted, distinct)
+        new = np.sort(keys[np.sort(first[fresh])[: count - accepted.size]])
+        if new.size:
+            accepted = np.insert(accepted, np.searchsorted(accepted, new), new)
+    return np.column_stack(np.divmod(accepted, n))
+
+
+def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` that occur in the ascending array ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
 
 
 def _quota_sizes(n: int, ratios) -> list:

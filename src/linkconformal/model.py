@@ -166,20 +166,25 @@ def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> n
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
-def _encoder_forward(a_hat, propagated_features, weights):
-    # ``propagated_features`` is a_hat @ features, which does not depend on
-    # the weights. Returns the list [propagated inputs S_l, one boolean mask
-    # Z_l > 0 per hidden layer, output H of the last layer]; the caller owns
-    # it, and a gradient step of ``_bce_loss_and_grads`` consumes it. Each
-    # hidden layer's pre-activation Z_l is ReLU'd in place and freed once
+def _encoder_forward(a_hat, features, weights, carry=None):
+    # Returns the list [layer inputs S_l, one boolean mask Z_l > 0 per hidden
+    # layer, output H of the last layer]; the caller owns it, and a gradient
+    # step of ``_bce_loss_and_grads`` consumes it. S_0 = a_hat @ features does
+    # not depend on the weights: the pass drops it once Z_0 = S_0 @ W_0 exists
+    # (its slot holds None) and the gradient step re-forms it for W_0's
+    # gradient. ``carry`` is a list that may hold that re-formed S_0; the
+    # pass takes it out, so that no caller keeps it alive beside Z_0 and S_1.
+    # Each hidden layer's pre-activation Z_l is ReLU'd in place and freed once
     # S_{l+1} = a_hat @ relu(Z_l) is formed, so that it never coexists with
     # the next layer's output; the backward pass needs only its sign, which
     # the mask keeps at one byte per entry.
-    propagated = [propagated_features]
+    propagated = [carry.pop() if carry else a_hat @ features]
     masks = []
     last = len(weights) - 1
     for l, w in enumerate(weights):
         z = propagated[l] @ w
+        if l == 0:
+            propagated[0] = None
         if l == last:
             return [propagated, masks, z]
         masks.append(z > 0)
@@ -197,7 +202,7 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
             f"encoder input dim {params.encoder_weights[0].shape[0]}"
         )
     a_hat = normalized_adjacency(graph, params.config.aggregation)
-    return _encoder_forward(a_hat, a_hat @ graph.features, params.encoder_weights)[2]
+    return _encoder_forward(a_hat, graph.features, params.encoder_weights)[2]
 
 
 # Rows per block of ``edge_embeddings``: its temporaries are one block's
@@ -256,20 +261,23 @@ def _workspace(rows, width, hidden):
             np.empty((rows, hidden), dtype=bool))
 
 
-def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None):
+def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None,
+                        carry=None):
     # Returns (loss, None) when not want_grads, else (None, gradients), which never
     # share memory with ``work``, a ``_workspace`` for labels.size rows (fresh when
     # not given). ``forward`` is the encoder pass at ``arrays`` when the caller has it.
     # A loss-only call leaves it intact for a later step. A gradient step consumes
     # it: it empties the list, drops H after the endpoint gathers and each S_l
     # (l >= 1) after that layer's weight gradient, so that the backward pass's
-    # node-sized temporaries never coexist with them.
+    # node-sized temporaries never coexist with them. It re-forms S_0 last, once
+    # only d is left, and appends it to the list ``carry`` when given, for the
+    # next encoder pass.
     n_enc = len(arrays) - 4
     enc_weights = arrays[:n_enc]
     scorer = arrays[n_enc:]
     w1, b1, w2, b2 = scorer
     if forward is None:
-        forward = _encoder_forward(a_hat, a_hat @ features, enc_weights)
+        forward = _encoder_forward(a_hat, features, enc_weights)
     propagated, masks, h = forward
     if want_grads:
         forward.clear()
@@ -304,15 +312,18 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     zu *= d_z
     d = _scatter_rows(a_hat.shape[0], index, scatter)
     enc_grads = [None] * n_enc
-    for l in range(n_enc - 1, -1, -1):
+    for l in range(n_enc - 1, 0, -1):
         enc_grads[l] = propagated[l].T @ d
-        if l > 0:
-            propagated[l] = None
-            # One product per statement, so that each node-sized temporary
-            # is freed before the next one is allocated.
-            d = d @ enc_weights[l].T
-            d = a_hat.T @ d
-            d *= masks[l - 1]
+        propagated[l] = None
+        # One product per statement, so that each node-sized temporary
+        # is freed before the next one is allocated.
+        d = d @ enc_weights[l].T
+        d = a_hat.T @ d
+        d *= masks[l - 1]
+    s0 = a_hat @ features
+    enc_grads[0] = s0.T @ d
+    if carry is not None:
+        carry.append(s0)
     return None, enc_grads + [d_w1, d_b1, d_w2, d_b2]
 
 
@@ -370,7 +381,6 @@ def train_link_predictor(
         _check_endpoints(val_endpoints, subgraph.num_nodes, "val")
     a_hat = normalized_adjacency(subgraph, config.aggregation)
     features = subgraph.features
-    propagated_features = a_hat @ features
     rng = derive_rng(seed, "train-link-predictor")
     params = _init_params(rng, features.shape[1], config)
     arrays = params.param_arrays()
@@ -382,21 +392,25 @@ def train_link_predictor(
     best = None
     # The encoder pass at the current weights, when one was made since the
     # last step: the validation pass after an epoch is the forward pass of
-    # the next epoch's first step, which consumes it.
+    # the next epoch's first step, which consumes it. ``carry`` hands the S_0
+    # that each step re-forms to the next pass, so that a_hat @ features is
+    # formed once per step and held only while it is used.
     forward = None
+    carry = []
     for _ in range(config.epochs):
         order = rng.permutation(train_labels.size)
         for start in range(0, train_labels.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             if forward is None:
-                forward = _encoder_forward(a_hat, propagated_features, enc_weights)
+                forward = _encoder_forward(a_hat, features, enc_weights, carry)
             _, grads = _bce_loss_and_grads(
-                arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward, work=work
+                arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward, work=work,
+                carry=carry,
             )
             optimizer.step(arrays, grads)
             forward = None
         if val_labels is not None:
-            forward = _encoder_forward(a_hat, propagated_features, enc_weights)
+            forward = _encoder_forward(a_hat, features, enc_weights, carry)
             val_loss, _ = _bce_loss_and_grads(
                 arrays, a_hat, features, val_endpoints, val_labels, want_grads=False, forward=forward, work=work
             )

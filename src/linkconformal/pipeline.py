@@ -140,8 +140,8 @@ def _degree_fit(node_degrees: np.ndarray) -> Optional[PowerLawFit]:
     return fit_power_law(degrees, min_tail=adaptive_min_tail(degrees.size))
 
 
-def _fitted_ks(graph: Graph) -> Optional[float]:
-    fit = _degree_fit(degree_sequence(graph))
+def _fitted_ks(node_degrees: np.ndarray) -> Optional[float]:
+    fit = _degree_fit(node_degrees)
     return None if fit is None else fit.ks
 
 
@@ -220,10 +220,13 @@ class _TrialBase:
         if not len(train_s):
             raise DegenerateCalibrationError("sampling removed every training edge")
         fit_rows = np.concatenate([train_s, val_s])
-        sampled_graph = self.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
+        # The kept positive rows are distinct subgraph edges, so their endpoint
+        # counts are the degrees of the graph they form; no Graph is built.
+        positives = fit_rows[fit_rows[:, 2] == 1, :2]
+        num_nodes = self.subgraph.num_nodes
         return fit_rows, calib_s, {
-            "ks_after": _fitted_ks(sampled_graph),
-            "density_after": _graph_density(sampled_graph.num_nodes, sampled_graph.num_edges),
+            "ks_after": _fitted_ks(np.bincount(positives.ravel(), minlength=num_nodes)),
+            "density_after": _graph_density(num_nodes, len(positives)),
         }
 
     def _calibrate(self, arm: str, fit_rows, calib) -> dict:
@@ -388,7 +391,7 @@ def sweep_cliques(
                 n_reps=1, run_sampled_arm=False)
         for variant in range(n_variants)
     ]
-    base_ks = functools.cache(lambda: _fitted_ks(base_graph))  # every n = 0 variant is base_graph
+    base_ks = functools.cache(lambda: _fitted_ks(degree_sequence(base_graph)))  # every n = 0 variant is base_graph
     rows = []
     for m, n in grid:
         ks_values, lengths, coverages = [], [], []
@@ -397,7 +400,7 @@ def sweep_cliques(
                 base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
             )
             record = run_pipeline(variant_config, variant_graph).trials[0]
-            ks_values.append(base_ks() if n == 0 else _fitted_ks(variant_graph))
+            ks_values.append(base_ks() if n == 0 else _fitted_ks(degree_sequence(variant_graph)))
             lengths.append(record.avg_length)
             coverages.append(record.coverage)
         rows.append(CliqueSweepRow(m=m, n=n, mean_ks=_mean(ks_values), mean_length=_mean(lengths),

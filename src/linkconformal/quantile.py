@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, relu, save_dump
+from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, save_dump
 from .graph import _finite_rows, as_edge_rows
 from .model import _check_endpoints, edge_embeddings
 from .seeding import derive_rng
@@ -71,13 +71,22 @@ class QuantileModel:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.shape[1] != self.w1.shape[0]:
             raise ValueError(f"embedding dim {z.shape[1]} does not match model dim {self.w1.shape[0]}")
-        h1 = relu(z @ self.w1 + self.b1)
-        h2 = relu(h1 @ self.w2 + self.b2)
-        return h2 @ self.w3 + self.b3
+        # Each layer adds its bias and applies ReLU in place, so that a layer
+        # holds one (n, hidden) array, not three.
+        h = z
+        for w, b in ((self.w1, self.b1), (self.w2, self.b2)):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.w3
+        out += self.b3
+        return out
 
     def quantiles(self, z: np.ndarray) -> np.ndarray:
         """(n, 2) bands with lower <= upper in every row."""
-        return np.sort(self.raw(z), axis=1)
+        bands = self.raw(z)
+        bands.sort(axis=1)
+        return bands
 
     def save(self, path) -> None:
         save_dump(path, "quantile-regressor", {

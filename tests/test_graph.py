@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +219,18 @@ class TestNegativeSampleRejection:
             out = negative_sample(graph, count, seed=seed)
             assert out.dtype == np.int64 and out.shape == (count, 2)
             assert list(map(tuple, out.tolist())) == reference_rejection_sample(graph, count, seed)
+
+    @pytest.mark.parametrize("n, density, seed", [(40, 0.3, 11), (70, 0.3, 12), (50, 0.7, 13)])
+    def test_near_capacity_matches_reference_loop(self, n, density, seed):
+        # Near capacity most rounds accept few pairs or none, so each round's
+        # test against the keys accepted so far must not lose or repeat one.
+        iu, iv = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(seed).random(iu.size) < density
+        graph = Graph(n, np.column_stack([iu[keep], iv[keep]]))
+        capacity = iu.size - graph.num_edges
+        for count in (capacity // 2, capacity - 20, capacity - 1, capacity):
+            out = negative_sample(graph, count, seed=seed + count)
+            assert list(map(tuple, out.tolist())) == reference_rejection_sample(graph, count, seed + count)
 
     def test_deterministic_per_seed(self, graph):
         a = negative_sample(graph, 500, seed=7)
@@ -453,16 +463,10 @@ class TestEnsureFeatures:
         g = Graph(2, frozenset({(0, 1)}), features=[[1.0], [2.0]])
         assert ensure_features(g, 7, seed=0) is g
 
-    def test_draw_is_frozen_in_place_not_copied(self):
+    def test_draw_is_frozen_in_place_not_copied(self, traced_peak):
         # A copy of the drawn matrix would peak at twice its size.
         g = Graph(100_000)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ensure_features(g, 16, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: ensure_features(g, 16, seed=1))
         assert out.features.shape == (100_000, 16) and not out.features.flags.writeable
         assert out.edge_array() is g.edge_array()
         assert peak <= 1.1 * out.features.nbytes

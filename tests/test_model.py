@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -426,7 +424,7 @@ class TestWorkspace:
         for g, f in zip(again, fresh):
             assert np.array_equal(g, f)
 
-    def test_step_allocates_no_batch_sized_array(self):
+    def test_step_allocates_no_batch_sized_array(self, traced_peak):
         # One step's transient traced peak stays below half of one (batch,
         # hidden) float64 array: about 0.42 of one here. Fresh per-row
         # temporaries took about eleven, and np.take's default "raise" mode,
@@ -440,28 +438,25 @@ class TestWorkspace:
         endpoints = rng.integers(0, 50, size=(rows, 2))
         labels = (rng.random(rows) < 0.5).astype(np.float64)
         work = _workspace(rows, 32, 32)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            _bce_loss_and_grads(arrays, a_hat, graph.features, endpoints, labels, work=work)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _bce_loss_and_grads(arrays, a_hat, graph.features, endpoints, labels, work=work))
         assert peak < rows * 32 * 8 // 2
 
 
 class TestTrainingMemory:
-    def test_one_epoch_transient_peak(self):
+    def test_one_epoch_transient_peak(self, traced_peak):
         # One epoch of 1,024-row batches on a 3,000-node graph. Training
-        # holds the propagated features and a workspace of four row-sized
-        # arrays and a mask; a step adds the forward pass (one mask per
-        # hidden layer, the last layer's input until its weight gradient and
-        # its output until the endpoint gathers) and at most two node-sized
-        # arrays in the backward pass. Its traced peak here is 3.7
-        # node-sized plus 4.6 row-sized float64 arrays. A step that holds
-        # its forward pass through the backward pass peaks at 5.6 node-sized
-        # ones, and a kernel that keeps float pre-activations, nine row
-        # buffers and np.take's copies at 7.5 node-sized plus 9.6 row-sized.
+        # holds a workspace of four row-sized arrays and a mask. A step adds
+        # the forward pass (one mask per hidden layer, the last layer's input
+        # until its weight gradient and its output until the endpoint
+        # gathers) and at most two node-sized arrays in the backward pass;
+        # it re-forms the propagated features a_hat @ X last, and the next
+        # forward pass drops them once its first layer's output exists. Its
+        # traced peak here is 2.7 node-sized plus 4.6 row-sized float64
+        # arrays. Holding a_hat @ X for the whole call peaks at 3.7
+        # node-sized ones, a step that holds its forward pass through the
+        # backward pass at 5.6, and a kernel that keeps float
+        # pre-activations, nine row buffers and np.take's copies at 7.5
+        # node-sized plus 9.6 row-sized.
         g = ensure_features(generate_powerlaw_graph(3000, 2.5, 1, seed=60), 16, seed=61)
         pos = g.edge_array()
         split = split_edges(pos, negative_sample(g, len(pos), seed=62), (0.5, 0.1, 0.2, 0.2), seed=63)
@@ -469,31 +464,19 @@ class TestTrainingMemory:
         config = ModelConfig(hidden_dim=16, num_layers=2, epochs=1, learning_rate=0.1,
                              batch_size=1024, scorer_hidden_dim=16)
         train_link_predictor(sub, split.train, split.val, config, seed=64)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            train_link_predictor(sub, split.train, split.val, config, seed=64)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: train_link_predictor(sub, split.train, split.val, config, seed=64))
         assert split.train.shape[0] > 2 * 1024
         node_array, row_array = 3000 * 16 * 8, 1024 * 16 * 8
-        assert peak < 4 * node_array + 6 * row_array
+        assert peak < 3 * node_array + 6 * row_array
 
-    def test_edge_embeddings_peak_is_one_output(self):
+    def test_edge_embeddings_peak_is_one_output(self, traced_peak):
         # Rows are embedded block by block into one output array, so the
         # temporaries are one block's size; gathering both endpoint arrays
         # whole and multiplying them peaks at twice the output.
         rng = np.random.default_rng(65)
         h = rng.standard_normal((500, 16))
         endpoints = rng.integers(0, 500, size=(6 * _EMBED_BLOCK_ROWS + 77, 2))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            z = edge_embeddings(h, endpoints)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        z, peak = traced_peak(lambda: edge_embeddings(h, endpoints))
         assert np.array_equal(z, h[endpoints[:, 0]] * h[endpoints[:, 1]])
         assert peak < 1.25 * z.nbytes
 

@@ -6,7 +6,7 @@ import pytest
 
 import linkconformal.pipeline as pipeline_mod
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
-from linkconformal.graph import Graph
+from linkconformal.graph import Graph, degree_sequence
 from linkconformal.model import ModelConfig
 from linkconformal.pipeline import (
     TrialRecord,
@@ -128,6 +128,17 @@ class TestRunPipeline:
         assert sampled.arm == "sampled" and sampled.ks_before is None
         assert sampled.error == "the training subgraph admits no power-law fit"
         assert sampled.coverage is None and sampled.ks_after is None
+
+    @pytest.mark.parametrize("mode, lam", [("literal", 1.0), ("directional", 2.4)])
+    def test_sampled_fields_equal_those_of_the_sampled_graph(self, mode, lam):
+        # ks_after and density_after are taken from the endpoint counts of the
+        # kept positive rows, without building the graph those rows form.
+        base = next(pipeline_mod._trials(tiny_config(sampler_mode=mode), None))
+        fit_rows, _, extra = base._sampled_inputs(lam)
+        sampled = base.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
+        fit = pipeline_mod._degree_fit(degree_sequence(sampled))
+        assert fit is not None and extra["ks_after"] == fit.ks
+        assert extra["density_after"] == sampled.num_edges / (300 * 299 / 2)
 
     def test_report_text_is_standard_json(self):
         def reject(constant):

@@ -54,6 +54,16 @@ class TestHurwitzZeta:
         assert out.shape == (3,)
         assert abs(out[0] - PI2_6) < 1e-8
 
+    def test_many_offsets_peak_at_one_small_block(self, traced_peak):
+        # The direct sums form their terms 16 offsets at a time in one
+        # 1.28 MB buffer; blocks of 256 offsets with two temporaries each
+        # peaked at 41 MB here. Each offset's sum does not depend on its block.
+        a = np.linspace(1.0, 500.0, 1000)
+        out, peak = traced_peak(lambda: hurwitz_zeta(2.5, a))
+        assert peak < 2 * 16 * 10_000 * 8
+        picked = [0, 15, 16, 999]
+        assert out[picked].tolist() == [hurwitz_zeta(2.5, x) for x in a[picked]]
+
     def test_divergence(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 1)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -84,6 +82,19 @@ class TestPredictQuantiles:
         with pytest.raises(ValueError):
             self.band(self.zero_model(dim=4), np.ones(7))
 
+    def test_bands_peak_at_two_hidden_layers(self, traced_peak):
+        # Each layer adds its bias and applies ReLU in place, so the two
+        # hidden layers' outputs are the only (n, hidden) arrays alive at
+        # once; a fresh array per bias and per ReLU peaked at three.
+        rng = np.random.default_rng(3)
+        n, dim, k = 20_000, 16, 32
+        shapes = [(dim, k), (k,), (k, k), (k,), (k, 2), (2,)]
+        model = QuantileModel(*(rng.standard_normal(s) for s in shapes), levels=(0.05, 0.95))
+        z = rng.standard_normal((n, dim))
+        bands, peak = traced_peak(lambda: model.quantiles(z))
+        assert np.all(bands[:, 0] <= bands[:, 1])
+        assert peak < 2.5 * n * k * 8
+
 
 class TestFit:
     def test_constant_target(self):
@@ -126,36 +137,24 @@ class TestFit:
         for x, w in zip(a.param_arrays(), b.param_arrays()):
             assert np.array_equal(x, w)
 
-    def test_two_epoch_peak_below_input(self):
+    def test_two_epoch_peak_below_input(self, traced_peak):
         # Each mini-batch gathers its own rows; a copy of the permuted input
         # per epoch peaks at more than twice the input.
         rng = np.random.default_rng(19)
         z = rng.standard_normal((20_000, 8))
         y = (rng.random(20_000) < 0.5).astype(float)
         cfg = QuantileConfig(epochs=2, learning_rate=2e-2, batch_size=256, hidden_dim=16)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fit_quantile_functions(z, y, 0.1, cfg, seed=20)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fit_quantile_functions(z, y, 0.1, cfg, seed=20))
         assert peak < z.nbytes
 
-    def test_streamed_fit_peak_below_one_fit_row_matrix(self):
+    def test_streamed_fit_peak_below_one_fit_row_matrix(self, traced_peak):
         # Each mini-batch forms its own edge embeddings from the node embeddings.
         rng = np.random.default_rng(21)
         h = rng.standard_normal((2_000, 8))
         rows = rng.integers(0, 2_000, size=(20_000, 2))
         y = (rng.random(20_000) < 0.5).astype(float)
         cfg = QuantileConfig(epochs=2, learning_rate=2e-2, batch_size=256, hidden_dim=16)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fit_quantile_functions(h, y, 0.1, cfg, seed=22, endpoints=rows)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fit_quantile_functions(h, y, 0.1, cfg, seed=22, endpoints=rows))
         assert peak < len(rows) * h.shape[1] * h.itemsize
 
     def test_validations(self):
