@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
+
+from .graph import _write_text
 
 # Gradients smaller than this are treated as zero-scale in relative-error
 # comparisons, so degenerate (flat) points do not inflate the check.
@@ -17,23 +20,17 @@ _DUMP_VERSION = 1
 def save_dump(path, kind: str, body: dict) -> None:
     """Write a JSON parameter dump: the format/version/kind header, then ``body``."""
     payload = {"format": _DUMP_FORMAT, "version": _DUMP_VERSION, "kind": kind, **body}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    _write_text(path, json.dumps(payload), "parameter dump")
 
 
 def load_dump(path, kind: str) -> dict:
     """Read a dump that ``save_dump`` wrote with the same ``kind``."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != _DUMP_FORMAT or payload.get("version") != _DUMP_VERSION:
         raise ValueError(f"unsupported parameter dump header in {path}")
     if payload.get("kind") != kind:
         raise ValueError(f"{path} holds a {payload.get('kind')!r} dump, not a {kind!r} dump")
     return payload
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

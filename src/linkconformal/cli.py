@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from .config import _parse_floats, build_run_config, parse_config_text
-from .graph import degree_sequence, generate_powerlaw_graph, inject_cliques, load_edge_list
-from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv, write_report
+from .graph import (_edge_list_text, _write_text, degree_sequence, generate_powerlaw_graph, inject_cliques,
+                    load_edge_list)
+from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
 from .powerlaw import fit_power_law
 from .seeding import derive_seed
 
@@ -24,7 +26,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", help="output path (stdout when omitted)")
     parser.add_argument("--alpha", type=float, help="miscoverage level in (0, 1)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="sampler intensity")
+    parser.add_argument("--lambda", type=float, help="sampler intensity")
     parser.add_argument("--sampler-mode", choices=("literal", "directional"))
     parser.add_argument("--sampler-agg", choices=("sum", "max"))
     parser.add_argument("--edge-list", help="edge-list file; synthetic graph when omitted")
@@ -34,60 +36,48 @@ def _add_common(parser):
 
 
 def _run_config(args) -> "RunConfig":
-    file_values = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = parse_config_text(fh.read())
-    overrides = {
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "lambda": args.lam,
-        "sampler_mode": args.sampler_mode,
-        "sampler_agg": args.sampler_agg,
-        "edge_list": args.edge_list,
-        "feature_file": args.feature_file,
-        "splits": args.splits,
-        "reps": args.reps,
-    }
-    return build_run_config(file_values, overrides)
+    file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    # The common flags' destinations are the config keys they override.
+    keys = ("seed", "alpha", "lambda", "sampler_mode", "sampler_agg", "edge_list", "feature_file", "splits", "reps")
+    return build_run_config(file_values, {key: getattr(args, key) for key in keys})
 
 
-def _emit(payload, out_path):
-    """Write a report or JSON-ready dict to ``out_path``, or to stdout when omitted."""
+def _emit(text: str, out_path) -> int:
+    """Write ``text`` to ``out_path``, or to stdout when omitted."""
     if out_path:
-        write_report(payload, out_path)
+        _write_text(out_path, text, "output")
     else:
-        sys.stdout.write(report_text(payload))
+        sys.stdout.write(text)
+    return 0
 
 
 def _cmd_run(args) -> int:
-    _emit(run_pipeline(_run_config(args)), args.out)
-    return 0
+    return _emit(report_text(run_pipeline(_run_config(args))), args.out)
 
 
 def _emit_rows(rows, args) -> int:
     """Write sweep rows as CSV (when --csv is given) and as ``{"rows": [...]}`` JSON."""
-    payload = {"rows": [asdict(r) for r in rows]}
     if args.csv:
         write_csv(rows, args.csv)
-    _emit(payload, args.out)
-    return 0
+    return _emit(report_text({"rows": [asdict(r) for r in rows]}), args.out)
 
 
 def _cmd_sweep_lambda(args) -> int:
     return _emit_rows(sweep_lambda(_run_config(args), _parse_floats(args.lambdas)), args)
 
 
-def _parse_grid(text: str):
-    grid = []
-    for token in text.replace(",", " ").split():
-        m, _, n = token.partition("x")
-        grid.append((int(m), int(n)))
-    return grid
+def _parse_mxn(token: str):
+    """(m, n) from a token like "25x20"; ValueError naming the token otherwise."""
+    m, _, n = token.partition("x")
+    try:
+        return int(m), int(n)
+    except ValueError:
+        raise ValueError(f"expected MxN like 25x20, got {token!r}") from None
 
 
 def _cmd_sweep_cliques(args) -> int:
-    rows = sweep_cliques(_run_config(args), _parse_grid(args.grid), n_variants=args.variants)
+    grid = [_parse_mxn(token) for token in args.grid.replace(",", " ").split()]
+    rows = sweep_cliques(_run_config(args), grid, n_variants=args.variants)
     return _emit_rows(rows, args)
 
 
@@ -95,25 +85,15 @@ def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 0
     graph = generate_powerlaw_graph(args.nodes, args.beta, args.dmin, derive_seed(seed, "synth-graph"))
     if args.cliques:
-        m, _, n = args.cliques.partition("x")
-        graph = inject_cliques(graph, int(m), int(n), derive_seed(seed, "inject-cliques"))
-    lines = [f"# nodes {graph.num_nodes}"]
-    lines += map(" ".join, graph.edge_array().astype(str).tolist())
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        m, n = _parse_mxn(args.cliques)
+        graph = inject_cliques(graph, m, n, derive_seed(seed, "inject-cliques"))
+    return _emit(_edge_list_text(graph), args.out)
 
 
 def _cmd_fit_powerlaw(args) -> int:
-    with open(args.edge_list, encoding="utf-8") as fh:
-        graph = load_edge_list(fh.read())
+    graph = load_edge_list(Path(args.edge_list).read_text(encoding="utf-8"))
     fit = fit_power_law(degree_sequence(graph, drop_isolated=True))
-    _emit(asdict(fit), args.out)
-    return 0
+    return _emit(report_text(asdict(fit)), args.out)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import _checked_ratios
+from .graph import _checked_ratios, _content_lines
 from .model import ModelConfig
 from .quantile import QuantileConfig
 from .sampling import SamplerConfig
@@ -55,10 +55,6 @@ class RunConfig:
             raise ValueError(f"feature_mode must be 'random' or 'structural', got {self.feature_mode!r}")
         # The sampler's own checks, run before any trial trains a model.
         SamplerConfig(lam=self.sampler_lambda, agg=self.sampler_agg, mode=self.sampler_mode)
-
-    @property
-    def n_trials(self) -> int:
-        return self.n_splits * self.n_reps
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,12 +113,9 @@ _KEY_TABLE = {
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a raw string dict."""
     values = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_number, line in _content_lines(text):
         if "=" not in line:
-            raise ValueError(f"config line {line_number}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"config line {line_number}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _KEY_TABLE:
@@ -137,24 +130,16 @@ def build_run_config(file_values: Optional[dict] = None, overrides: Optional[dic
     ``file_values`` maps config-file keys to raw strings; ``overrides``
     maps the same keys to already-typed values (None entries are ignored).
     """
-    top = {}
-    model_kwargs = {}
-    quantile_kwargs = {}
-    buckets = {None: top, "model": model_kwargs, "quantile": quantile_kwargs}
-    for key, raw in (file_values or {}).items():
+    merged = {**(file_values or {}), **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    buckets = {None: {}, "model": {}, "quantile": {}}
+    for key, value in merged.items():
         coerce, section, name = _KEY_TABLE[key]
-        buckets[section][name] = coerce(raw)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        coerce, section, name = _KEY_TABLE[key]
-        buckets[section][name] = value if not isinstance(value, str) else coerce(value)
-    config = RunConfig(
-        model=ModelConfig(**model_kwargs),
-        quantile=QuantileConfig(**quantile_kwargs),
-        **top,
+        buckets[section][name] = coerce(value) if isinstance(value, str) else value
+    return RunConfig(
+        model=ModelConfig(**buckets["model"]),
+        quantile=QuantileConfig(**buckets["quantile"]),
+        **buckets[None],
     )
-    return config
 
 
 def config_echo(config: RunConfig) -> dict:

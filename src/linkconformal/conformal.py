@@ -5,6 +5,8 @@ is max(lower - y, y - upper): negative when y sits strictly inside the
 band, positive when it falls outside. Calibration takes the k-th smallest
 of K scores with k = ceil((K+1)(1-alpha)); when k exceeds K the quantile
 is +inf and intervals become unbounded (maximally conservative).
+A NaN score, label, band end or q_hat raises ValueError naming the first
+bad row; infinite scores and a q_hat of +inf are legal.
 """
 
 from __future__ import annotations
@@ -27,18 +29,27 @@ class ConformalReport:
 
 
 def _check_ordered(lower: np.ndarray, upper: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first row where lower > upper."""
-    inverted = np.flatnonzero(lower > upper)
-    if inverted.size:
-        i = inverted[0]
+    """Raise ValueError naming the first row where lower > upper or either end is NaN."""
+    bad = np.flatnonzero(~(lower <= upper))
+    if bad.size:
+        i = bad[0]
         lo, hi = np.broadcast_arrays(lower, upper)
-        raise ValueError(f"inverted {what} [{lo.flat[i]}, {hi.flat[i]}] at row {i}")
+        kind = "inverted" if lo.flat[i] > hi.flat[i] else "NaN in"
+        raise ValueError(f"{kind} {what} [{lo.flat[i]}, {hi.flat[i]}] at row {i}")
+
+
+def _check_not_nan(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of ``values`` that is NaN."""
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise ValueError(f"{what} at row {nan[0]} is NaN")
 
 
 def nonconformity(lower, upper, y):
     """Scores max(lower - y, y - upper) of labels y against bands [lower, upper]."""
     lower, upper, y = (np.asarray(a, dtype=np.float64) for a in (lower, upper, y))
     _check_ordered(lower, upper, "band")
+    _check_not_nan(y, "label")
     scores = np.maximum(lower - y, y - upper)
     return float(scores) if scores.ndim == 0 else scores
 
@@ -53,6 +64,7 @@ def conformal_quantile(scores, alpha: float) -> float:
         raise ValueError("calibration scores must be non-empty")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_not_nan(scores, "calibration score")
     k = math.ceil((scores.size + 1) * (1.0 - alpha) - _CEIL_EPS)
     k = max(k, 1)
     if k > scores.size:
@@ -70,6 +82,8 @@ def prediction_interval(lower, upper, q_hat: float) -> np.recarray:
     lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
     upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
     _check_ordered(lower, upper, "band")
+    if math.isnan(q_hat):
+        raise ValueError("q_hat is NaN")
     lo, hi = lower - q_hat, upper + q_hat
     empty = lo > hi
     mid = (lower[empty] + upper[empty]) / 2.0
@@ -87,6 +101,7 @@ def evaluate(intervals: np.recarray, labels) -> ConformalReport:
         raise ValueError("nothing to evaluate")
     lower, upper = intervals.lower, intervals.upper
     _check_ordered(lower, upper, "interval")
+    _check_not_nan(labels, "label")
     covered = int(np.count_nonzero((lower <= labels) & (labels <= upper)))
     return ConformalReport(covered / labels.size, float(np.mean(upper - lower)))
 

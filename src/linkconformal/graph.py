@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -179,20 +180,25 @@ class EdgeSplit:
         return {name: getattr(self, name) for name in _SUBSET_NAMES}
 
 
+def _content_lines(text: str):
+    """(line number, stripped line) for each line that is neither blank nor a '#' comment."""
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_number, line
+
+
 def load_edge_list(text: str, num_nodes_hint: Optional[int] = None) -> Graph:
     """Parse an edge-list document into a Graph.
 
     One edge per line as two whitespace-separated integer node ids; lines
-    starting with '#' are comments. num_nodes is the larger of the hint and
-    max index + 1. Reversed duplicates collapse to one undirected edge.
+    starting with '#' are comments. num_nodes is the largest of the hint,
+    N from a first line ``# nodes N``, and max index + 1. Reversed
+    duplicates collapse to one undirected edge, with a warning when some
+    pair is listed in both directions.
     """
-    edges = set()
-    max_index = -1
-    saw_reversed = False
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    rows = []
+    for line_number, line in _content_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_number, f"expected two tokens, got {len(tokens)}")
@@ -204,17 +210,25 @@ def load_edge_list(text: str, num_nodes_hint: Optional[int] = None) -> Graph:
             raise ValueError(f"line {line_number}: negative node index ({u}, {v})")
         if u == v:
             raise ValueError(f"line {line_number}: self-loop at node {u}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in edges and (u, v) != pair:
-            saw_reversed = True
-        edges.add(pair)
-        max_index = max(max_index, u, v)
-    num_nodes = max(max_index + 1, num_nodes_hint or 0)
+        rows.append((u, v))
+    pairs = as_edge_rows(rows, 2)
+    header = text.partition("\n")[0].split()  # "# nodes N", as _edge_list_text writes it
+    floor = int(header[2]) if header[:2] == ["#", "nodes"] and len(header) == 3 and header[2].isdecimal() else 0
+    num_nodes = max(int(pairs.max(initial=-1)) + 1, floor, num_nodes_hint or 0)
     if num_nodes < 1:
         raise ValueError("empty edge list and no num_nodes_hint given")
-    if saw_reversed:
+    # Self-loops are rejected above, so a row whose reverse is also a row
+    # is a pair listed in both directions.
+    if np.isin(pairs[:, 0] * num_nodes + pairs[:, 1], pairs[:, 1] * num_nodes + pairs[:, 0]).any():
         warnings.warn("directed duplicates collapsed to undirected edges", stacklevel=2)
-    return Graph(num_nodes, frozenset(edges))
+    return Graph(num_nodes, pairs)
+
+
+def _edge_list_text(graph: Graph) -> str:
+    """``graph`` as an edge-list document: ``# nodes N``, then one "u v" line per edge."""
+    lines = [f"# nodes {graph.num_nodes}"]
+    lines += map(" ".join, graph.edge_array().astype(str).tolist())
+    return "\n".join(lines) + "\n"
 
 
 def load_features(text: str, num_nodes: int) -> np.ndarray:
@@ -222,12 +236,8 @@ def load_features(text: str, num_nodes: int) -> np.ndarray:
 
     Nodes absent from the file get all-zero rows.
     """
-    rows = {}
-    dim = None
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    out = None
+    for line_number, line in _content_lines(text):
         tokens = line.split()
         try:
             node = int(tokens[0])
@@ -238,17 +248,22 @@ def load_features(text: str, num_nodes: int) -> np.ndarray:
             raise EdgeListParseError(line_number, "feature row has no values")
         if node < 0 or node >= num_nodes:
             raise ValueError(f"line {line_number}: node id {node} out of range")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise EdgeListParseError(line_number, f"expected {dim} values, got {len(values)}")
-        rows[node] = values
-    if dim is None:
-        raise ValueError("feature document contains no rows")
-    out = np.zeros((num_nodes, dim))
-    for node, values in rows.items():
+        if out is None:
+            out = np.zeros((num_nodes, len(values)))
+        elif len(values) != out.shape[1]:
+            raise EdgeListParseError(line_number, f"expected {out.shape[1]} values, got {len(values)}")
         out[node] = values
+    if out is None:
+        raise ValueError("feature document contains no rows")
     return out
+
+
+def _write_text(path, text: str, what: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; on failure, raise OSError "cannot write {what} to {path}: ..."."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def ensure_features(graph: Graph, dim: int, seed: int) -> Graph:
@@ -385,6 +400,16 @@ def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
     return graph.with_edges(np.concatenate([graph.edge_array(), cliques]))
 
 
+def _check_powerlaw_args(num_nodes: int, beta: float, d_min: int) -> None:
+    """The argument checks that both power-law generators share."""
+    if num_nodes < 10:
+        raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
+    if not 1.0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
+    if d_min < 1:
+        raise ValueError(f"d_min must be >= 1, got {d_min}")
+
+
 def _powerlaw_degree_sample(num_nodes: int, beta: float, d_min: int, rng) -> np.ndarray:
     support = np.arange(d_min, num_nodes, dtype=np.float64)
     pmf = support ** (-beta) / hurwitz_zeta(beta, float(d_min))
@@ -402,12 +427,7 @@ def generate_powerlaw_graph(num_nodes: int, beta: float, d_min: int, seed: int) 
     parity-corrected, then wired by configuration-model stub pairing with
     self-loops and duplicate edges discarded.
     """
-    if num_nodes < 10:
-        raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
-    if not 1.0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
-    if d_min < 1:
-        raise ValueError(f"d_min must be >= 1, got {d_min}")
+    _check_powerlaw_args(num_nodes, beta, d_min)
     rng = derive_rng(seed, "powerlaw-graph")
     degrees = _powerlaw_degree_sample(num_nodes, beta, d_min, rng)
     if degrees.sum() % 2 == 1:
@@ -442,12 +462,7 @@ def generate_latent_powerlaw_graph(
     attributed graphs; edges added later between random nodes (injected
     cliques) ignore the geometry and stay feature-independent.
     """
-    if num_nodes < 10:
-        raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
-    if not 1.0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
-    if d_min < 1:
-        raise ValueError(f"d_min must be >= 1, got {d_min}")
+    _check_powerlaw_args(num_nodes, beta, d_min)
     if homophily < 0:
         raise ValueError(f"homophily must be >= 0, got {homophily}")
     rng = derive_rng(seed, "latent-powerlaw-graph")

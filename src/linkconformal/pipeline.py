@@ -18,6 +18,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .conformal import conformalize, evaluate
 from .errors import DegenerateCalibrationError
 from .graph import (
     Graph,
+    _write_text,
     degree_sequence,
     ensure_features,
     generate_powerlaw_graph,
@@ -102,11 +104,10 @@ def load_graph(config: RunConfig) -> Graph:
     dataset).
     """
     if config.edge_list:
-        with open(config.edge_list, encoding="utf-8") as fh:
-            graph = load_edge_list(fh.read())
+        graph = load_edge_list(Path(config.edge_list).read_text(encoding="utf-8"))
         if config.feature_file:
-            with open(config.feature_file, encoding="utf-8") as fh:
-                graph = graph.with_features(load_features(fh.read(), graph.num_nodes))
+            features = load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
+            graph = graph.with_features(features)
     else:
         graph = generate_powerlaw_graph(
             config.synth_nodes,
@@ -416,12 +417,7 @@ def report_text(report) -> str:
 
 def write_report(report, path) -> None:
     """Write ``report_text(report)`` to ``path``."""
-    text = report_text(report)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    _write_text(path, report_text(report), "report")
 
 
 def write_csv(rows, path) -> None:
@@ -433,8 +429,4 @@ def write_csv(rows, path) -> None:
     lines = [",".join(header)]
     for row in dicts:
         lines.append(",".join("" if row[k] is None else str(row[k]) for k in header))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write csv to {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "csv")

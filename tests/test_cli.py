@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -74,10 +75,44 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_run_stdout_matches_out_file(tmp_path, capsys):
-    args = ["run", "--config", str(_tiny_cfg(tmp_path)), "--seed", "4"]
-    out = tmp_path / "report.json"
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep-lambda", "--lambdas", "1.0"],
+    ["sweep-cliques", "--grid", "4x1", "--variants", "1"],
+    ["synth", "--nodes", "300", "--cliques", "8x2"],
+    ["fit-powerlaw"],
+], ids=lambda command: command[0])
+def test_run_stdout_matches_out_file(tmp_path, capsys, command):
+    if command[0] == "synth":
+        args = command + ["--seed", "4"]
+    elif command[0] == "fit-powerlaw":
+        edges = tmp_path / "edges.txt"
+        assert main(["synth", "--nodes", "300", "--seed", "4", "--out", str(edges)]) == 0
+        args = command + ["--edge-list", str(edges)]
+    else:
+        args = command + ["--config", str(_tiny_cfg(tmp_path)), "--seed", "4"]
+    out = tmp_path / "out.txt"
     assert main(args + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert main(args) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("token", ["25", "25x", "x20"])
+def test_malformed_clique_token_named(tmp_path, token):
+    message = f"^expected MxN like 25x20, got {re.escape(repr(token))}$"
+    with pytest.raises(ValueError, match=message):
+        main(["synth", "--nodes", "300", "--cliques", token])
+    with pytest.raises(ValueError, match=message):
+        main(["sweep-cliques", "--grid", f"4x2 {token}", "--config", str(_tiny_cfg(tmp_path))])
+
+
+def test_synth_takes_one_clique_token():
+    with pytest.raises(ValueError, match="^expected MxN like 25x20, got '25x20,50x20'$"):
+        main(["synth", "--nodes", "300", "--cliques", "25x20,50x20"])
+
+
+def test_write_error_names_the_output(tmp_path):
+    missing = tmp_path / "missing" / "edges.txt"
+    with pytest.raises(OSError, match=f"^cannot write output to {re.escape(str(missing))}: "):
+        main(["synth", "--nodes", "300", "--out", str(missing)])

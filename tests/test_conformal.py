@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestNonconformity:
         with pytest.raises(ValueError):
             nonconformity([0.0, 1.0], [1.0, 0.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("lower, upper, y, message", [
+        ([0.0, 0.0], [1.0, 1.0], [0.5, math.nan], "label at row 1 is NaN"),
+        (0.0, 1.0, math.nan, "label at row 0 is NaN"),
+        ([0.0, math.nan], [1.0, 1.0], [0.5, 0.5], "NaN in band [nan, 1.0] at row 1"),
+    ])
+    def test_nan_rejected(self, lower, upper, y, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nonconformity(lower, upper, y)
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         bands = np.sort(rng.normal(size=(200, 2)), axis=1)
@@ -134,6 +144,11 @@ class TestConformalQuantile:
         with pytest.raises(ValueError):
             conformal_quantile([1.0], 0.0)
 
+    @pytest.mark.parametrize("scores, row", [([math.nan, 0.1, 0.2] * 10, 0), ([0.1, -math.inf, math.nan], 2)])
+    def test_nan_rejected(self, scores, row):
+        with pytest.raises(ValueError, match=f"^calibration score at row {row} is NaN$"):
+            conformal_quantile(scores, 0.1)
+
 
 class TestPredictionInterval:
     def test_widen(self):
@@ -164,6 +179,14 @@ class TestPredictionInterval:
             prediction_interval([1.0], [0.0], 0.0)
         with pytest.raises(ValueError):
             prediction_interval([0.0, 0.4, 1.0], [1.0, 0.6, 0.0], 0.1)
+
+    @pytest.mark.parametrize("lower, upper, q_hat, message", [
+        ([0.0], [1.0], math.nan, "q_hat is NaN"),
+        ([0.0, 0.0], [1.0, math.nan], 0.1, "NaN in band [0.0, nan] at row 1"),
+    ])
+    def test_nan_rejected(self, lower, upper, q_hat, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prediction_interval(lower, upper, q_hat)
 
 
 class TestArrayLayerMatchesPerRowOracle:
@@ -257,6 +280,14 @@ class TestEvaluate:
         ivs = np.rec.fromarrays([[0.0, 1.0], [1.0, 0.0]], names="lower,upper")
         with pytest.raises(ValueError):
             evaluate(ivs, [0.5, 0.5])
+
+    @pytest.mark.parametrize("lower, labels, message", [
+        ([0.0, 0.0], [0.5, math.nan], "label at row 1 is NaN"),
+        ([math.nan, 0.0], [0.5, 0.5], "NaN in interval [nan, 1.0] at row 0"),
+    ])
+    def test_nan_rejected(self, lower, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(np.rec.fromarrays([lower, [1.0, 1.0]], names="lower,upper"), labels)
 
 
 class TestConformalize:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from linkconformal.errors import CapacityError, EdgeListParseError
 from linkconformal.graph import (
     EdgeSplit,
     Graph,
+    _edge_list_text,
     degree_sequence,
     ensure_features,
     generate_latent_powerlaw_graph,
@@ -19,7 +22,7 @@ from linkconformal.graph import (
     training_subgraph,
 )
 from linkconformal.powerlaw import fit_power_law
-from linkconformal.seeding import derive_rng
+from linkconformal.seeding import derive_rng, derive_seed
 
 
 def path_graph(n):
@@ -103,10 +106,25 @@ class TestLoadEdgeList:
         assert g.num_nodes == 3
         assert g.edges == frozenset({(0, 1), (1, 2)})
 
-    def test_undirected_dedup(self):
-        with pytest.warns(UserWarning):
-            g = load_edge_list("0 1\n1 0")
+    @pytest.mark.parametrize("text, warns", [("0 1\n1 0", True), ("1 0\n0 1", True), ("1 0\n1 0", False)],
+                             ids=["forward-first", "reverse-first", "same-direction"])
+    def test_undirected_dedup(self, text, warns):
+        # The warning fires exactly when some pair is listed in both directions.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = load_edge_list(text)
+        assert [str(w.message) for w in caught] == ["directed duplicates collapsed to undirected edges"] * warns
         assert g.edges == frozenset({(0, 1)})
+
+    def test_nodes_header_round_trips(self):
+        g = generate_powerlaw_graph(50, 2.5, 1, seed=derive_seed(705, "synth-graph"))
+        assert degree_sequence(g)[-1] == 0  # the highest node is isolated
+        again = load_edge_list(_edge_list_text(g))
+        assert again.num_nodes == g.num_nodes == 50
+        assert np.array_equal(again.edge_array(), g.edge_array())
+        assert load_edge_list("# nodes 5\n0 1\n", num_nodes_hint=7).num_nodes == 7
+        assert load_edge_list("# nodes 5\n").num_nodes == 5
+        assert load_edge_list("0 1\n# nodes 5\n").num_nodes == 2  # only a first-line header counts
 
     def test_parse_error_with_line(self):
         with pytest.raises(EdgeListParseError) as err:

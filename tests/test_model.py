@@ -270,7 +270,7 @@ def test_mean_neighbor_variant_trains():
 # the scatter became a sparse product and the validation pass started feeding
 # the next step, kept verbatim. The kernels now must match them bit for bit.
 
-from linkconformal._nn import MomentumSGD, relu
+from linkconformal._nn import MomentumSGD
 from linkconformal.model import _as_endpoint_arrays, _bce_loss_and_grads, _init_params, _scorer_logits
 from linkconformal.seeding import derive_rng
 
@@ -285,7 +285,7 @@ def reference_encoder_forward(a_hat, features, weights):
     for l, w in enumerate(weights):
         s = a_hat @ h
         z = s @ w
-        h = z if l == last else relu(z)
+        h = z if l == last else np.maximum(z, 0.0)
         propagated.append(s)
         preacts.append(z)
         activations.append(h)

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import linkconformal.pipeline as pipeline_mod
+from linkconformal._nn import save_dump
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
 from linkconformal.graph import Graph, degree_sequence
 from linkconformal.model import ModelConfig
@@ -296,6 +298,16 @@ class TestReports:
     def test_write_error_surfaced(self, tmp_path):
         with pytest.raises(OSError):
             write_report({"a": 1}, tmp_path / "missing" / "r.json")
+
+    @pytest.mark.parametrize("write, what", [
+        (lambda path: write_report({"a": 1}, path), "report"),
+        (lambda path: write_csv([{"a": 1}], path), "csv"),
+        (lambda path: save_dump(path, "link-predictor", {}), "parameter dump"),
+    ], ids=["report", "csv", "dump"])
+    def test_write_errors_name_what_was_written(self, tmp_path, write, what):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(OSError, match=f"^cannot write {what} to {re.escape(str(path))}: "):
+            write(path)
 
 
 class TestConfig:

@@ -239,7 +239,7 @@ class TestModelIO:
 # The step and loop as they were before the discarded loss was dropped from
 # the gradient path, kept verbatim. The fit now must match them bit for bit.
 
-from linkconformal._nn import MomentumSGD, init_weight, relu
+from linkconformal._nn import MomentumSGD, init_weight
 from linkconformal.model import edge_embeddings
 from linkconformal.quantile import _loss_and_grads
 from linkconformal.seeding import derive_rng
@@ -253,9 +253,9 @@ def _pinball_slope(prediction, target, gamma):
 def reference_loss_and_grads(arrays, z, y, levels, want_grads=True):
     w1, b1, w2, b2, w3, b3 = arrays
     pre1 = z @ w1 + b1
-    h1 = relu(pre1)
+    h1 = np.maximum(pre1, 0.0)
     pre2 = h1 @ w2 + b2
-    h2 = relu(pre2)
+    h2 = np.maximum(pre2, 0.0)
     out = h2 @ w3 + b3
     lo, hi = levels
     loss = float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi)))
