@@ -3,7 +3,9 @@
 Subcommands: run, sweep-lambda, sweep-cliques, synth, fit-powerlaw.
 Global flags (--config, --seed, --out, --alpha) and sampler flags
 (--lambda, --sampler-mode, --sampler-agg) apply wherever they make sense;
-command-line values override config-file values.
+command-line values override config-file values. A subcommand that fails
+on a bad value or an unreadable or unwritable file prints one
+``linkconformal: error: ...`` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -132,7 +134,12 @@ def main(argv=None) -> int:
     p_fit.set_defaults(func=_cmd_fit_powerlaw)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        # One line and status 2, as argparse reports a bad argument.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,15 @@ def as_edge_rows(edges, width: Optional[int] = None) -> np.ndarray:
     return rows
 
 
+def _ordered_pairs(rows: np.ndarray) -> np.ndarray:
+    """A copy of the (k, w) int64 ``rows`` whose first two columns hold each row's (min, max)."""
+    out = np.empty(rows.shape, dtype=np.int64)
+    np.minimum(rows[:, 0], rows[:, 1], out=out[:, 0])
+    np.maximum(rows[:, 0], rows[:, 1], out=out[:, 1])
+    out[:, 2:] = rows[:, 2:]
+    return out
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -47,8 +56,12 @@ def _finite_rows(matrix: np.ndarray) -> np.ndarray:
     """Whether each row of a 2-D float ``matrix`` is finite.
 
     A row is finite exactly when its min and max (with 0) are, which takes
-    two floats per row instead of a boolean mask of the matrix's shape.
+    two floats per row instead of a boolean mask of the matrix's shape. A
+    finite min and max of the whole matrix settle every row at once, which
+    costs far less than per-row reductions over a few columns.
     """
+    if np.isfinite(matrix.min(initial=0.0)) and np.isfinite(matrix.max(initial=0.0)):
+        return np.ones(len(matrix), dtype=bool)
     return np.isfinite(matrix.min(axis=1, initial=0.0)) & np.isfinite(matrix.max(axis=1, initial=0.0))
 
 
@@ -85,7 +98,7 @@ class Graph:
     def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        pairs = np.sort(as_edge_rows(edges, 2), axis=1)
+        pairs = _ordered_pairs(as_edge_rows(edges, 2))
         for bad, message in (
             (pairs[:, 0] == pairs[:, 1], "self-loop at edge"),
             (pairs[:, 0] < 0, "negative node index in edge"),
@@ -159,12 +172,12 @@ class EdgeSplit:
         bad = (rows[:, 2] != 0) & (rows[:, 2] != 1)
         if bad.any():
             raise ValueError(f"label must be 0 or 1, got {rows[np.argmax(bad), 2]}")
-        canonical = np.column_stack([np.sort(rows[:, :2], axis=1), rows[:, 2]])
+        canonical = _ordered_pairs(rows)
         keys = row_keys(canonical)
-        order = np.argsort(keys)
-        repeated = keys[order[1:]] == keys[order[:-1]]
+        ordered = np.sort(keys)
+        repeated = ordered[1:] == ordered[:-1]
         if repeated.any():
-            key = tuple(canonical[order[np.argmax(repeated)]].tolist())
+            key = tuple(canonical[np.argmax(keys == ordered[np.argmax(repeated)])].tolist())
             raise ValueError(f"duplicate labeled edge across subsets: {key}")
         for name, subset in subsets.items():
             n_pos = int(subset[:, 2].sum())
@@ -302,8 +315,14 @@ def negative_sample(graph: Graph, count: int, seed: int):
         vs = rng.integers(0, n, size=batch)
         keys = (np.minimum(us, vs) * n + np.maximum(us, vs))[us != vs]
         # The batch's distinct keys in ascending order, tested against both
-        # key arrays, then the fresh ones' first draws in draw order.
-        distinct, first = np.unique(keys, return_index=True)
+        # key arrays, then the fresh ones' first draws in draw order. Each
+        # key's first draw is the least index in its run of an unstable
+        # argsort: what np.unique(keys, return_index=True) gives, without
+        # the slower stable sort it runs.
+        order = np.argsort(keys)
+        ordered = keys[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        distinct, first = ordered[starts], np.minimum.reduceat(order, starts)
         fresh = ~_sorted_contains(edge_keys, distinct) & ~_sorted_contains(accepted, distinct)
         new = np.sort(keys[np.sort(first[fresh])[: count - accepted.size]])
         if new.size:
@@ -349,8 +368,8 @@ def split_edges(positives, negatives, ratios, seed: int) -> EdgeSplit:
     (train, val, calib, test).
     """
     ratios = _checked_ratios(ratios)
-    positives = np.sort(as_edge_rows(positives, 2), axis=1)
-    negatives = np.sort(as_edge_rows(negatives, 2), axis=1)
+    positives = _ordered_pairs(as_edge_rows(positives, 2))
+    negatives = _ordered_pairs(as_edge_rows(negatives, 2))
     if len(positives) != len(negatives):
         raise ValueError(
             f"positive/negative counts differ: {len(positives)} vs {len(negatives)}"

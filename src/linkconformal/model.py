@@ -131,21 +131,34 @@ def normalized_adjacency(graph: Graph, aggregation: str) -> sp.csr_matrix:
     """Propagation operator over A + I.
 
     gcn-normalized: D^-1/2 (A + I) D^-1/2; mean-neighbor: D^-1 (A + I),
-    where D are the degrees of A + I (never zero).
+    where D are the degrees of A + I (never zero). Each row's entries are
+    in ascending column order for gcn-normalized and descending for
+    mean-neighbor: the orders in which the diagonal products
+    ``diags(s) @ (A + I) @ diags(s)`` and ``diags(1/d) @ (A + I)`` leave
+    them, so that products with the operator sum in the same order.
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     n = graph.num_nodes
     edges = graph.edge_array()
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    data = np.ones(rows.size)
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    nodes = np.arange(n)
+    # Below the diagonal, on it, then above it, each part in lexicographic
+    # order: COO -> CSR keeps each row's entries in input order, so every
+    # row comes out with ascending columns and no sort runs.
+    rows = np.concatenate([edges[:, 1], nodes, edges[:, 0]])
+    cols = np.concatenate([edges[:, 0], nodes, edges[:, 1]])
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    indptr, indices = adj.indptr, adj.indices
+    degrees = np.diff(indptr)
+    row = np.repeat(nodes, degrees)
     if aggregation == "gcn-normalized":
         scale = 1.0 / np.sqrt(degrees)
-        return sp.diags(scale) @ adj @ sp.diags(scale)
-    return sp.diags(1.0 / degrees) @ adj
+        data = scale[row] * scale[indices]
+    else:
+        data = (1.0 / degrees)[row]
+        # Each row's entries reversed: entry p of the row [a, b) moves to a + b - 1 - p.
+        indices = indices[(indptr[:-1] + indptr[1:] - 1)[row] - np.arange(row.size)]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> np.ndarray:
@@ -210,18 +223,31 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
 _EMBED_BLOCK_ROWS = 8192
 
 
+def _edge_product(node_embeddings, u, v, out, spare):
+    """``out`` = node_embeddings[u] * node_embeddings[v] row by row, with ``spare``
+    a buffer of out's shape; the callers range-check u and v, so that the
+    gathers take "wrap" mode, which skips the copy that "raise" makes."""
+    np.take(node_embeddings, u, axis=0, out=out, mode="wrap")
+    np.take(node_embeddings, v, axis=0, out=spare, mode="wrap")
+    return np.multiply(out, spare, out=out)
+
+
 def edge_embeddings(
     node_embeddings: np.ndarray, endpoints: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Batch edge embeddings for an (E, 2) endpoint array, written into ``out`` when given."""
+    """Batch edge embeddings for an (E, 2) endpoint array, written into ``out`` when given.
+
+    An endpoint outside [0, len(node_embeddings)) raises IndexError.
+    """
     endpoints = np.asarray(endpoints, dtype=np.int64)
+    _check_endpoints(endpoints, len(node_embeddings), "edge")
     if out is None:
         out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
+    spare = np.empty((min(len(endpoints), _EMBED_BLOCK_ROWS), node_embeddings.shape[1]), dtype=out.dtype)
     for start in range(0, len(endpoints), _EMBED_BLOCK_ROWS):
         rows = endpoints[start : start + _EMBED_BLOCK_ROWS]
-        block = out[start : start + _EMBED_BLOCK_ROWS]
-        np.take(node_embeddings, rows[:, 0], axis=0, out=block)
-        block *= node_embeddings[rows[:, 1]]
+        _edge_product(node_embeddings, rows[:, 0], rows[:, 1], out[start : start + _EMBED_BLOCK_ROWS],
+                      spare[: len(rows)])
     return out
 
 

@@ -107,7 +107,9 @@ def load_graph(config: RunConfig) -> Graph:
         graph = load_edge_list(Path(config.edge_list).read_text(encoding="utf-8"))
         if config.feature_file:
             features = load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
-            graph = graph.with_features(features)
+            # The parsed matrix, like the structural one below, is fresh and
+            # held nowhere else: it is frozen in place, not copied.
+            graph = graph._with_own_features(features)
     else:
         graph = generate_powerlaw_graph(
             config.synth_nodes,
@@ -116,7 +118,7 @@ def load_graph(config: RunConfig) -> Graph:
             derive_seed(config.seed, "synth-graph"),
         )
         if config.feature_mode == "structural":
-            graph = graph.with_features(
+            graph = graph._with_own_features(
                 structural_features(graph, config.feature_dim, derive_seed(config.seed, "features"))
             )
     if config.clique_n > 0:

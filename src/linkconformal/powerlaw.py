@@ -14,7 +14,8 @@ import numpy as np
 # Truncation point of the zeta series; the analytic tail below pushes the
 # absolute error far under 1e-10 for beta >= 1.05.
 _ZETA_TERMS = 10_000
-# Offsets per block of the direct sum: 1.3 MB of terms per block.
+# A table of direct-sum terms holds at most the terms of _ZETA_BLOCK
+# offsets: 1.3 MB.
 _ZETA_BLOCK = 16
 
 
@@ -71,24 +72,16 @@ def hurwitz_zeta(beta: float, a):
     Sums the first 10^4 terms directly, then closes the tail with an
     Euler-Maclaurin expansion: integral term x0^(1-beta)/(beta-1) plus the
     half-term and the first two Bernoulli corrections at x0 = a + 10^4.
+    Whole-number offsets close together share their terms (``_direct_sums``);
+    no offset's value depends on which other offsets share the call.
     """
     if not 1.0 < beta < np.inf:
         raise ValueError(f"hurwitz zeta needs a finite beta > 1, got beta={beta}")
     a_arr = np.asarray(a, dtype=np.float64)
     if not np.all(a_arr > 0.0):
         raise ValueError("offset a must be positive")
-    i = np.arange(_ZETA_TERMS, dtype=np.float64)
     flat = np.atleast_1d(a_arr).ravel()
-    partial = np.empty(flat.shape)
-    # Blocks of _ZETA_BLOCK offsets, whose terms are formed in place in one
-    # (_ZETA_BLOCK, 10^4) buffer, so that large offset arrays never
-    # materialize a (len(a), 10^4) array.
-    terms = np.empty((min(flat.size, _ZETA_BLOCK), _ZETA_TERMS))
-    for start in range(0, flat.size, _ZETA_BLOCK):
-        block = flat[start : start + _ZETA_BLOCK]
-        rows = np.add(i, block[:, None], out=terms[: block.size])
-        rows **= -beta
-        np.sum(rows, axis=1, out=partial[start : start + _ZETA_BLOCK])
+    partial = _direct_sums(beta, flat)
     x0 = flat + float(_ZETA_TERMS)
     tail = (
         x0 ** (1.0 - beta) / (beta - 1.0)
@@ -100,12 +93,47 @@ def hurwitz_zeta(beta: float, a):
     return float(out) if np.ndim(a) == 0 else out
 
 
+def _direct_sums(beta: float, flat: np.ndarray) -> np.ndarray:
+    """sum_{i<10^4} (i + a)^-beta for each offset a in ``flat``.
+
+    Offsets are taken in ascending order. A whole-number offset lo starts a
+    table of (lo + k)^-beta, formed as arange + lo and then the power, and
+    the whole-number offsets that follow it at gaps below 10^4 share it,
+    while the table stays within one block of _ZETA_BLOCK offsets' terms.
+    Every other offset gets a table of its own 10^4 terms. Each offset's
+    sum is np.sum over its 10^4-entry window: the same pairwise sum of the
+    same doubles, whichever offsets share its table. An infinite offset's
+    terms are all 0.
+    """
+    partial = np.zeros(flat.shape)
+    order = np.argsort(flat, kind="stable")
+    values = flat[order]
+    whole = values == np.floor(values)
+    finite = int(np.searchsorted(values, np.inf))
+    start = 0
+    while start < finite:
+        lo, stop = values[start], start + 1
+        while (stop < finite and whole[start] and whole[stop] and values[stop] - values[stop - 1] < _ZETA_TERMS
+               and values[stop] - lo < (_ZETA_BLOCK - 1) * _ZETA_TERMS):
+            stop += 1
+        table = np.arange(int(values[stop - 1] - lo) + _ZETA_TERMS, dtype=np.float64)
+        table += lo
+        table **= -beta
+        for j in range(start, stop):
+            k = int(values[j] - lo)
+            partial[order[j]] = np.sum(table[k : k + _ZETA_TERMS])
+        start = stop
+    return partial
+
+
 def powerlaw_cdf(d, beta: float, d_min: int):
     """Model CDF Pr(D <= d | D >= d_min) = 1 - zeta(beta, d+1)/zeta(beta, d_min)."""
     d_arr = np.asarray(d, dtype=np.float64)
     if np.any(d_arr < d_min):
         raise ValueError(f"degree below cutoff: CDF is defined for d >= {d_min}")
-    out = 1.0 - hurwitz_zeta(beta, d_arr + 1.0) / hurwitz_zeta(beta, float(d_min))
+    # One call for both zeta terms, so that d_min shares the degrees' table.
+    zetas = hurwitz_zeta(beta, np.append(d_arr.ravel() + 1.0, float(d_min)))
+    out = 1.0 - zetas[:-1].reshape(d_arr.shape) / zetas[-1]
     return float(out) if np.ndim(d) == 0 else out
 
 
@@ -149,7 +177,12 @@ def ks_statistic(degrees, beta: float, d_min: int) -> float:
     if tail.size == 0:
         raise ValueError(f"no degrees >= d_min={d_min}")
     uniq, counts = np.unique(tail, return_counts=True)
-    ecdf = np.cumsum(counts) / tail.size
+    return _ks_distance(uniq, counts, tail.size, beta, d_min)
+
+
+def _ks_distance(uniq: np.ndarray, counts: np.ndarray, tail_size: int, beta: float, d_min: int) -> float:
+    """``ks_statistic`` from the tail's distinct degrees ``uniq``, their ``counts`` and their total."""
+    ecdf = np.cumsum(counts) / tail_size
     model = powerlaw_cdf(uniq.astype(np.float64), beta, d_min)
     return float(np.abs(ecdf - model).max())
 
@@ -180,16 +213,17 @@ def fit_power_law(degrees, min_tail: int = 10) -> PowerLawFit:
     degrees = degrees[degrees >= 1]
     if degrees.size == 0:
         raise ValueError("degree sequence has no positive entries")
-    uniq = np.unique(degrees)
-    candidates = [int(c) for c in uniq if np.sum(degrees >= c) >= min_tail]
-    if not candidates:
-        candidates = [int(uniq[0])]
+    uniq, counts = np.unique(degrees, return_counts=True)
+    # tails[k]: how many degrees are >= uniq[k]; it falls as k rises.
+    tails = np.cumsum(counts[::-1])[::-1]
+    eligible = int(np.sum(tails >= min_tail)) or 1
+    as_float = degrees.astype(np.float64)
     best = None
-    for cand in candidates:
-        beta_hat = estimate_beta(degrees, cand)
-        ks = ks_statistic(degrees, beta_hat, cand)
+    for k in range(eligible):
+        cand, tail_size = int(uniq[k]), int(tails[k])
+        beta_hat = estimate_beta(as_float, cand)
+        ks = _ks_distance(uniq[k:], counts[k:], tail_size, beta_hat, cand)
         key = (ks, cand)
         if best is None or key < best[0]:
-            tail_size = int(np.sum(degrees >= cand))
             best = (key, PowerLawFit(beta_hat, cand, ks, tail_size))
     return best[1]

@@ -6,13 +6,15 @@ the two pinball losses are summed. Quantile crossing is repaired at
 prediction time by sorting the two outputs.
 
 The fit can stream its rows: given node embeddings and node pairs, each
-mini-batch forms its pairs' edge embeddings with ``model.edge_embeddings``
-into a per-fit workspace, so no matrix of all fit rows is built.
+mini-batch forms its pairs' edge embeddings, the product that
+``model.edge_embeddings`` forms, into a per-fit workspace, so no matrix of
+all fit rows is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, save_dump
 from .graph import _finite_rows, as_edge_rows
-from .model import _check_endpoints, edge_embeddings
+from .model import _check_endpoints, _edge_product
 from .seeding import derive_rng
 
 
@@ -125,32 +127,40 @@ def _views(flat: np.ndarray, shapes):
     return views
 
 
+# Views of a ``_Workspace``'s buffers for a batch of m rows.
+_Batch = namedtuple("_Batch", "z y u v spare a1 m1 a2 m2 out ge slopes")
+
+
 class _Workspace:
     """Buffers for ``_loss_and_grads`` on up to ``rows`` rows, for parameters of ``shapes``.
 
-    ``z`` and ``y`` hold a batch. ``a1`` holds the first layer's
-    pre-activation, ReLU'd in place, then d_pre1; ``m1`` is its mask > 0;
-    ``a2`` and ``m2`` do the same for the second layer. ``out`` holds the
-    head outputs, then d_out, and ``ge`` is the mask y >= out. ``grads`` are
-    views of the flat buffer ``grad``, in the order and shapes of the
-    parameters. ``slopes[m]`` holds d loss / d prediction per head for a
-    batch of m rows, one of ``sizes``: row 0 where y >= out (the kink at
-    y == out takes the gamma branch), row 1 elsewhere. One workspace per fit
-    keeps its steps from allocating arrays of the batch's size.
+    ``batches[m]`` holds views of the buffers' first m rows for each batch
+    size m in ``sizes``, made once. ``z`` and ``y`` hold a batch. A streamed
+    batch gathers its endpoints into ``u`` and ``v`` and the rows of ``v``
+    into ``spare``. ``a1`` holds the first layer's pre-activation, ReLU'd in
+    place, then d_pre1; ``m1`` is its mask > 0; ``a2`` and ``m2`` do the
+    same for the second layer. ``out`` holds the head outputs, then d_out,
+    and ``ge`` is the mask y >= out. ``slopes`` holds d loss / d prediction
+    per head for a batch of m rows: row 0 where y >= out (the kink at
+    y == out takes the gamma branch), row 1 elsewhere. ``grads`` are views
+    of the flat buffer ``grad``, in the order and shapes of the parameters.
+    One workspace per fit keeps its steps from allocating arrays of the
+    batch's size.
     """
 
     def __init__(self, rows: int, shapes, levels, sizes):
         dim, hidden = shapes[0]
-        self.z = np.empty((rows, dim))
-        self.y = np.empty(rows)
-        self.a1, self.a2 = np.empty((rows, hidden)), np.empty((rows, hidden))
-        self.m1, self.m2 = np.empty((rows, hidden), dtype=bool), np.empty((rows, hidden), dtype=bool)
-        self.out = np.empty((rows, 2))
-        self.ge = np.empty((rows, 2), dtype=bool)
+        buffers = (
+            np.empty((rows, dim)), np.empty(rows), np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
+            np.empty((rows, dim)), np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
+            np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool), np.empty((rows, 2)),
+            np.empty((rows, 2), dtype=bool),
+        )
+        lo, hi = levels
+        slopes = np.array([[-lo, -hi], [1.0 - lo, 1.0 - hi]])
+        self.batches = {m: _Batch(*(buf[:m] for buf in buffers), slopes / m) for m in sizes}
         self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
         self.grads = _views(self.grad, shapes)
-        lo, hi = levels
-        self.slopes = {m: np.array([[-lo, -hi], [1.0 - lo, 1.0 - hi]]) / m for m in sizes}
 
 
 def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
@@ -160,7 +170,7 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
     w1, b1, w2, b2, w3, b3 = arrays
     rows = y.size
     work = work or _Workspace(rows, [a.shape for a in arrays], levels, (rows,))
-    a1, m1, a2, m2, out, ge = (buf[:rows] for buf in (work.a1, work.m1, work.a2, work.m2, work.out, work.ge))
+    _, _, _, _, _, a1, m1, a2, m2, out, ge, slopes = work.batches[rows]
     np.matmul(z, w1, out=a1)
     a1 += b1
     np.greater(a1, 0, out=m1)
@@ -176,20 +186,20 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
         return float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi))), None
     d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = work.grads
     np.greater_equal(y[:, None], out, out=ge)
-    slopes = work.slopes[rows]
     d_out = out
     d_out[...] = slopes[1]
     np.copyto(d_out, slopes[0], where=ge)
+    # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
     np.matmul(a2.T, d_out, out=d_w3)
-    np.sum(d_out, axis=0, out=d_b3)
+    np.add.reduce(d_out, axis=0, out=d_b3)
     d_pre2 = np.matmul(d_out, w3.T, out=a2)
     d_pre2 *= m2
     np.matmul(a1.T, d_pre2, out=d_w2)
-    np.sum(d_pre2, axis=0, out=d_b2)
+    np.add.reduce(d_pre2, axis=0, out=d_b2)
     d_pre1 = np.matmul(d_pre2, w2.T, out=a1)
     d_pre1 *= m1
     np.matmul(z.T, d_pre1, out=d_w1)
-    np.sum(d_pre1, axis=0, out=d_b1)
+    np.add.reduce(d_pre1, axis=0, out=d_b1)
     return None, work.grads
 
 
@@ -257,18 +267,24 @@ def fit_quantile_functions(
     # Every batch has batch_size rows, except a shorter last one.
     work = _Workspace(min(batch_size, n), shapes, levels, {min(batch_size, n), n % batch_size} - {0})
     optimizer = MomentumSGD([params], config.learning_rate, config.momentum)
+    if endpoints is not None:
+        # The endpoint columns, contiguous: np.take copies a strided source
+        # whole on every call.
+        u, v = np.ascontiguousarray(endpoints.T)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            zb, yb = work.z[: batch.size], work.y[: batch.size]
+            rows = work.batches[batch.size]
             # "wrap" skips the copy that "raise" makes; a permutation is in range.
             if endpoints is None:
-                np.take(z, batch, axis=0, out=zb, mode="wrap")
+                np.take(z, batch, axis=0, out=rows.z, mode="wrap")
             else:
-                edge_embeddings(z, endpoints[batch], out=zb)
-            np.take(y, batch, out=yb, mode="wrap")
-            _loss_and_grads(arrays, zb, yb, levels, work=work)
+                np.take(u, batch, out=rows.u, mode="wrap")
+                np.take(v, batch, out=rows.v, mode="wrap")
+                _edge_product(z, rows.u, rows.v, rows.z, rows.spare)
+            np.take(y, batch, out=rows.y, mode="wrap")
+            _loss_and_grads(arrays, rows.z, rows.y, levels, work=work)
             optimizer.step([params], [work.grad])
     for a in arrays:
         a.flags.writeable = False

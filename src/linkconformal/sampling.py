@@ -67,8 +67,15 @@ def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.nd
 
 
 def _cdf(sample: np.ndarray, d) -> np.ndarray:
-    """Right-continuous empirical CDF of a non-empty ``sample``, evaluated at ``d``."""
-    return np.searchsorted(np.sort(sample), d, side="right") / sample.size
+    """Right-continuous empirical CDF of a non-empty ``sample``, evaluated at ``d``.
+
+    Both hold non-negative integers. The counts of sample entries <= d come
+    from one ``bincount``; entries above max(d) are counted at max(d) + 1,
+    so that a far Pareto draw cannot size the count array.
+    """
+    d = np.asarray(d)
+    at_most = np.cumsum(np.bincount(np.minimum(sample, d.max(initial=0) + 1)))
+    return at_most[np.minimum(d, at_most.size - 1)] / sample.size
 
 
 def _keep_rule(gap_u, gap_v, cfg: SamplerConfig):

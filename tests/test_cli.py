@@ -98,21 +98,56 @@ def test_run_stdout_matches_out_file(tmp_path, capsys, command):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def _fails_with(capsys, argv, pattern):
+    """Run ``main(argv)``, expect argparse's exit status 2, and match one stderr error line."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert re.match(f"^linkconformal: error: {pattern}$", err.rstrip("\n")), err
+
+
 @pytest.mark.parametrize("token", ["25", "25x", "x20"])
-def test_malformed_clique_token_named(tmp_path, token):
-    message = f"^expected MxN like 25x20, got {re.escape(repr(token))}$"
-    with pytest.raises(ValueError, match=message):
-        main(["synth", "--nodes", "300", "--cliques", token])
-    with pytest.raises(ValueError, match=message):
-        main(["sweep-cliques", "--grid", f"4x2 {token}", "--config", str(_tiny_cfg(tmp_path))])
+def test_malformed_clique_token_named(tmp_path, capsys, token):
+    message = f"expected MxN like 25x20, got {re.escape(repr(token))}"
+    _fails_with(capsys, ["synth", "--nodes", "300", "--cliques", token], message)
+    _fails_with(capsys, ["sweep-cliques", "--grid", f"4x2 {token}", "--config", str(_tiny_cfg(tmp_path))], message)
 
 
-def test_synth_takes_one_clique_token():
-    with pytest.raises(ValueError, match="^expected MxN like 25x20, got '25x20,50x20'$"):
-        main(["synth", "--nodes", "300", "--cliques", "25x20,50x20"])
+def test_synth_takes_one_clique_token(capsys):
+    _fails_with(capsys, ["synth", "--nodes", "300", "--cliques", "25x20,50x20"],
+                "expected MxN like 25x20, got '25x20,50x20'")
 
 
-def test_write_error_names_the_output(tmp_path):
+def test_write_error_names_the_output(tmp_path, capsys):
     missing = tmp_path / "missing" / "edges.txt"
-    with pytest.raises(OSError, match=f"^cannot write output to {re.escape(str(missing))}: "):
-        main(["synth", "--nodes", "300", "--out", str(missing)])
+    _fails_with(capsys, ["synth", "--nodes", "300", "--out", str(missing)],
+                f"cannot write output to {re.escape(str(missing))}: .*")
+
+
+def test_single_clique_count_is_one_error_line(capsys):
+    _fails_with(capsys, ["synth", "--cliques", "25"], "expected MxN like 25x20, got '25'")
+
+
+def test_unknown_config_key_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("synth_nodes = 300\nbogus_key = 3\n")
+    _fails_with(capsys, ["run", "--config", str(config)], "config line 2: unknown key 'bogus_key'")
+
+
+def test_negative_lambda_is_one_error_line(capsys):
+    _fails_with(capsys, ["run", "--lambda", "-1"], re.escape("lambda must be finite and >= 0, got -1.0"))
+
+
+def test_unreadable_edge_list_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    _fails_with(capsys, ["run", "--edge-list", str(missing)], f".*{re.escape(str(missing))}.*")
+    _fails_with(capsys, ["fit-powerlaw", "--edge-list", str(missing)], f".*{re.escape(str(missing))}.*")
+
+
+def test_library_functions_still_raise():
+    from linkconformal.cli import _parse_mxn
+
+    with pytest.raises(ValueError, match="^expected MxN like 25x20, got '25'$"):
+        _parse_mxn("25")

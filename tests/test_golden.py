@@ -1,15 +1,17 @@
 """Pinned fixed-seed reports: every refactor that claims to preserve
 behaviour must reproduce them byte for byte.
 
-The files under ``tests/golden/`` were written by ``write_report``: two
+The files under ``tests/golden/`` were written by ``write_report``: three
 ``run_pipeline`` reports, and one ``{"rows": [...]}`` payload per sweep,
 the form the CLI writes. Rewrite them only in a change that means to alter
-reports, and say why:
+reports, and say why. With names, only those files are rewritten, so that
+adding a golden leaves the others untouched; without, all of them are:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
-from dataclasses import asdict
+import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from linkconformal.model import ModelConfig
 from linkconformal.pipeline import run_pipeline, sweep_cliques, sweep_lambda, write_report
 from linkconformal.quantile import QuantileConfig
 
-from test_pipeline import tiny_config
+from test_pipeline import TINY_MODEL, tiny_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,6 +44,10 @@ def _rows(rows):
 GOLDEN = {
     "tiny.json": lambda: run_pipeline(tiny_config()),
     "rejection_3000.json": lambda: run_pipeline(rejection_config()),
+    # The mean-neighbor operator, through structural features and training.
+    "mean_neighbor.json": lambda: run_pipeline(tiny_config(
+        feature_mode="structural", model=replace(TINY_MODEL, aggregation="mean-neighbor")
+    )),
     "sweep_lambda.json": lambda: _rows(sweep_lambda(
         tiny_config(n_splits=2, sampler_mode="directional"), [0.5, 1.0, 4.0]
     )),
@@ -67,6 +73,10 @@ def test_report_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(GOLDEN)
+    unknown = sorted(set(names) - set(GOLDEN))
+    if unknown:
+        raise SystemExit(f"unknown golden(s) {unknown}; known: {sorted(GOLDEN)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, make_report in GOLDEN.items():
-        write_report(make_report(), GOLDEN_DIR / name)
+    for name in names:
+        write_report(GOLDEN[name](), GOLDEN_DIR / name)

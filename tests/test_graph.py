@@ -10,6 +10,7 @@ from linkconformal.graph import (
     EdgeSplit,
     Graph,
     _edge_list_text,
+    _ordered_pairs,
     degree_sequence,
     ensure_features,
     generate_latent_powerlaw_graph,
@@ -325,9 +326,19 @@ class TestSplitEdges:
             split_edges([(0, 1), (1, 2)], [(0, 2)], (0.25, 0.25, 0.25, 0.25), seed=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40), st.integers(0, 1)), max_size=50),
+       st.sampled_from([2, 3]))
+def test_ordered_pairs_match_row_sort(rows, width):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)[:, :width]
+    want = np.column_stack([np.sort(rows[:, :2], axis=1), rows[:, 2:]])
+    got = _ordered_pairs(rows)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
 class TestEdgeSplitType:
     def test_rejects_duplicates_across_subsets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate labeled edge across subsets: \(0, 1, 1\)$"):
             EdgeSplit(
                 train=((0, 1, 1), (0, 2, 0)),
                 val=((1, 0, 1), (0, 3, 0)),

@@ -91,7 +91,51 @@ class TestNormalizedAdjacency:
         assert np.allclose(a, a.T)
 
 
+def reference_normalized_adjacency(graph, aggregation):
+    # The diagonal-product build the one-pass build replaced, kept verbatim.
+    import scipy.sparse as sp
+
+    n = graph.num_nodes
+    edges = graph.edge_array()
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    if aggregation == "gcn-normalized":
+        scale = 1.0 / np.sqrt(degrees)
+        return sp.diags(scale) @ adj @ sp.diags(scale)
+    return sp.diags(1.0 / degrees) @ adj
+
+
+ORACLE_GRAPHS = {
+    **{f"powerlaw-{seed}": (lambda seed=seed: generate_powerlaw_graph(500, 2.3, 1, seed)) for seed in range(5)},
+    "isolated-nodes": lambda: Graph(9, [(0, 1), (2, 5), (5, 7), (1, 5)]),
+    "edgeless": lambda: Graph(4),
+}
+
+
+class TestNormalizedAdjacencyMatchesOracle:
+    @pytest.mark.parametrize("aggregation", ["gcn-normalized", "mean-neighbor"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_same_arrays_and_products(self, name, aggregation):
+        graph = ORACLE_GRAPHS[name]()
+        got = normalized_adjacency(graph, aggregation)
+        want = reference_normalized_adjacency(graph, aggregation)
+        assert type(got) is type(want)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        x = np.random.default_rng(75).standard_normal((graph.num_nodes, 7))
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+        assert (got.T @ x).tobytes() == (want.T @ x).tobytes()
+
+
 class TestEdgeEmbedding:
+    def test_out_of_range_endpoint_rejected(self):
+        for bad in (-1, 2):
+            with pytest.raises(IndexError, match=f"^edge endpoint {bad} is out of range for num_nodes=2$"):
+                edge_embeddings(np.ones((2, 4)), [[0, 1], [1, bad]])
+
     def test_ones(self):
         assert np.allclose(edge_embeddings(np.ones((2, 4)), [[0, 1]]), 1.0)
 

@@ -415,3 +415,14 @@ class TestLoadGraph:
         g = load_graph(cfg)
         assert g.num_nodes == 4
         assert g.features is not None
+
+    def test_feature_file_matrix_attached_without_a_copy(self, tmp_path, monkeypatch):
+        edges, features = tmp_path / "edges.txt", tmp_path / "features.txt"
+        edges.write_text("0 1\n1 2\n2 3\n")
+        features.write_text("0 1.0 2.0\n")
+        parsed = np.arange(8, dtype=np.float64).reshape(4, 2)
+        monkeypatch.setattr(pipeline_mod, "load_features", lambda text, num_nodes: parsed)
+        g = load_graph(tiny_config(edge_list=str(edges), feature_file=str(features), clique_n=0, feature_dim=2))
+        assert np.shares_memory(g.features, parsed)
+        assert not g.features.flags.writeable
+        assert g.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from linkconformal.powerlaw import (
@@ -78,6 +80,75 @@ class TestHurwitzZeta:
     def test_nan_offset_rejected(self):
         with pytest.raises(ValueError, match="offset"):
             hurwitz_zeta(2.0, np.array([1.0, np.nan]))
+
+
+def reference_hurwitz_zeta(beta, a):
+    # The 16-offset block sum that the shared power table replaced, kept verbatim.
+    a_arr = np.asarray(a, dtype=np.float64)
+    i = np.arange(10_000, dtype=np.float64)
+    flat = np.atleast_1d(a_arr).ravel()
+    partial = np.empty(flat.shape)
+    terms = np.empty((min(flat.size, 16), 10_000))
+    for start in range(0, flat.size, 16):
+        block = flat[start : start + 16]
+        rows = np.add(i, block[:, None], out=terms[: block.size])
+        rows **= -beta
+        np.sum(rows, axis=1, out=partial[start : start + 16])
+    x0 = flat + 10_000.0
+    tail = (
+        x0 ** (1.0 - beta) / (beta - 1.0)
+        + 0.5 * x0 ** (-beta)
+        + beta / 12.0 * x0 ** (-beta - 1.0)
+        - beta * (beta + 1.0) * (beta + 2.0) / 720.0 * x0 ** (-beta - 3.0)
+    )
+    out = (partial + tail).reshape(a_arr.shape)
+    return float(out) if np.ndim(a) == 0 else out
+
+
+_OFFSETS = np.random.default_rng(30)
+ZETA_OFFSETS = {
+    "integer-run": np.arange(1.0, 300.0),
+    "unsorted-integers": _OFFSETS.integers(1, 5_000, size=200).astype(np.float64),
+    "repeated": np.array([3.0, 3.0, 1.0, 3.0, 12_000.0, 1.0]),
+    "non-integer": _OFFSETS.random(40) * 100.0 + 0.5,
+    "mixed": np.concatenate([_OFFSETS.integers(1, 100, size=30), _OFFSETS.random(30) * 9.0 + 1.0]),
+    "gaps": np.array([1.0, 9_999.0, 10_000.0, 19_999.0, 40_000.0, 1e7, 1e15, 1e15 + 2.0]),
+    "matrix": np.arange(1.0, 13.0).reshape(3, 4),
+    "infinite": np.array([np.inf, 2.0, np.inf, 2.5]),
+}
+
+
+class TestHurwitzZetaMatchesBlockSum:
+    @pytest.mark.parametrize("beta", [1.05, 1.37, 2.12, 2.5, 3.9])
+    @pytest.mark.parametrize("name", sorted(ZETA_OFFSETS))
+    def test_same_bytes(self, name, beta):
+        a = ZETA_OFFSETS[name]
+        got = hurwitz_zeta(beta, a)
+        assert got.shape == a.shape
+        assert got.tobytes() == reference_hurwitz_zeta(beta, a).tobytes()
+
+    @pytest.mark.parametrize("a", [3, 3.0, 2.5, np.float64(7.0), np.array(4.0), np.array(4.5)])
+    def test_scalar_and_zero_d(self, a):
+        got, want = hurwitz_zeta(2.12, a), reference_hurwitz_zeta(2.12, a)
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("far", [1e7, 50_001.0])
+    def test_far_offsets_keep_small_tables(self, traced_peak, far):
+        # Offsets 1 and 10^7 in one table would be 10^7 terms (80 MB), and
+        # 1 and 50,001 would be 60,001 terms; each offset gets its own
+        # 10^4-term table, as on the block path.
+        a = np.array([1.0, far])
+        out, peak = traced_peak(lambda: hurwitz_zeta(2.5, a))
+        assert peak < 2 * a.size * 10_000 * 8
+        assert out.tobytes() == reference_hurwitz_zeta(2.5, a).tobytes()
+
+    def test_close_offsets_share_at_most_one_block_of_terms(self, traced_peak):
+        # 60 offsets 9,000 apart never leave a 10^4 gap; one table for all of
+        # them would hold 541,000 terms (4.3 MB).
+        a = 1.0 + 9_000.0 * np.arange(60)
+        out, peak = traced_peak(lambda: hurwitz_zeta(2.5, a))
+        assert peak < 2 * 16 * 10_000 * 8
+        assert out.tobytes() == reference_hurwitz_zeta(2.5, a).tobytes()
 
 
 class TestPmf:
@@ -190,6 +261,40 @@ class TestFitPowerLaw:
             PowerLawFit(beta_hat=0.9, d_min=1, ks=0.1, tail_size=5)
         with pytest.raises(ValueError):
             PowerLawFit(beta_hat=2.0, d_min=1, ks=1.5, tail_size=5)
+
+
+def reference_fit_power_law(degrees, min_tail):
+    # The per-candidate scan that the one-sort tail counts replaced, kept
+    # verbatim, with the KS statistic and model CDF it called inlined.
+    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = degrees[degrees >= 1]
+    uniq = np.unique(degrees)
+    candidates = [int(c) for c in uniq if np.sum(degrees >= c) >= min_tail]
+    if not candidates:
+        candidates = [int(uniq[0])]
+    best = None
+    for cand in candidates:
+        beta_hat = estimate_beta(degrees, cand)
+        tail = degrees[degrees >= cand]
+        values, counts = np.unique(tail, return_counts=True)
+        ecdf = np.cumsum(counts) / tail.size
+        d = values.astype(np.float64)
+        model = 1.0 - hurwitz_zeta(beta_hat, d + 1.0) / hurwitz_zeta(beta_hat, float(cand))
+        ks = float(np.abs(ecdf - model).max())
+        key = (ks, cand)
+        if best is None or key < best[0]:
+            best = (key, PowerLawFit(beta_hat, cand, ks, int(np.sum(degrees >= cand))))
+    return best[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=300).filter(any), st.integers(1, 40))
+def test_fit_matches_per_candidate_scan(degrees, min_tail):
+    got = fit_power_law(degrees, min_tail)
+    want = reference_fit_power_law(degrees, min_tail)
+    assert (got.d_min, got.tail_size) == (want.d_min, want.tail_size)
+    assert np.float64(got.beta_hat).tobytes() == np.float64(want.beta_hat).tobytes()
+    assert np.float64(got.ks).tobytes() == np.float64(want.ks).tobytes()
 
 
 def test_adaptive_min_tail():

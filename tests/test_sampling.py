@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkconformal.errors import DegenerateCalibrationError
 from linkconformal.graph import generate_powerlaw_graph, inject_cliques, degree_sequence, split_edges, training_subgraph, negative_sample
@@ -63,6 +65,21 @@ class TestEcdf:
         vals = _cdf(rng.integers(1, 50, size=200), np.arange(0, 60))
         assert np.all(np.diff(vals) >= 0)
         assert np.all((0 <= vals) & (vals <= 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=200), st.lists(st.integers(0, 250), max_size=60))
+    def test_matches_sort_and_searchsorted(self, sample, d):
+        sample, d = np.array(sample, dtype=np.int64), np.array(d, dtype=np.int64)
+        want = np.searchsorted(np.sort(sample), d, side="right") / sample.size
+        assert _cdf(sample, d).tobytes() == want.tobytes()
+
+    def test_far_draw_does_not_size_the_counts(self, traced_peak):
+        # One Pareto draw of 10^12 would make a 10^12-entry count array.
+        sample = np.array([3, 1, 10**12, 2, 2], dtype=np.int64)
+        d = np.arange(0, 6)
+        got, peak = traced_peak(lambda: _cdf(sample, d))
+        assert got.tolist() == [0.0, 0.2, 0.6, 0.8, 0.8, 0.8]
+        assert peak < 10_000
 
     def test_empty_rejected(self):
         # a graph with no edges has no degrees to build either CDF from
