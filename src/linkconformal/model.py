@@ -240,6 +240,7 @@ def edge_embeddings(
     An endpoint outside [0, len(node_embeddings)) raises IndexError.
     """
     endpoints = np.asarray(endpoints, dtype=np.int64)
+    node_embeddings = np.ascontiguousarray(node_embeddings)  # np.take copies a strided source per call
     _check_endpoints(endpoints, len(node_embeddings), "edge")
     if out is None:
         out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)

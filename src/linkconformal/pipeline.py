@@ -378,8 +378,10 @@ def sweep_cliques(
     recorded alongside the interval length. Variant seeds do not depend on
     the grid point, so variant i of every (m, n) shares its base graph,
     negative pool, split, and model streams: grid points differ only by
-    the injected cliques. ``mean_ks`` averages the variants that admit a
-    KS fit and is None when none does. The grid is checked before any training.
+    the injected cliques, every n = 0 point shares the base graph's trials,
+    and a repeated grid point runs once. ``mean_ks`` averages the variants
+    that admit a KS fit and is None when none does. The grid is checked
+    before any training.
     """
     if not grid:
         raise ValueError("sweep_cliques needs a non-empty grid")
@@ -389,23 +391,19 @@ def sweep_cliques(
     for m, n in grid:
         if n < 0 or (n > 0 and not 2 <= m <= base_graph.num_nodes):
             raise ValueError(f"grid point (m={m}, n={n}) needs n >= 0, and 2 <= m <= num_nodes when n > 0")
-    variant_configs = [
-        replace(config, seed=derive_seed(config.seed, "clique-run", variant), n_splits=1,
-                n_reps=1, run_sampled_arm=False)
-        for variant in range(n_variants)
-    ]
-    base_ks = functools.cache(lambda: _fitted_ks(degree_sequence(base_graph)))  # every n = 0 variant is base_graph
+    graph_ks = functools.cache(lambda graph: _fitted_ks(degree_sequence(graph)))
+
+    @functools.cache  # keyed by the injected (m, n), or None for the base graph
+    def plain_run(cliques, variant):
+        graph = base_graph if cliques is None else inject_cliques(
+            base_graph, *cliques, derive_seed(config.seed, "clique-variant", variant))
+        variant_config = replace(config, seed=derive_seed(config.seed, "clique-run", variant))
+        record = next(_trials(variant_config, graph)).run_arm("cqr")
+        return graph_ks(graph), record.avg_length, record.coverage
+
     rows = []
     for m, n in grid:
-        ks_values, lengths, coverages = [], [], []
-        for variant, variant_config in enumerate(variant_configs):
-            variant_graph = base_graph if n == 0 else inject_cliques(
-                base_graph, m, n, derive_seed(config.seed, "clique-variant", variant)
-            )
-            record = run_pipeline(variant_config, variant_graph).trials[0]
-            ks_values.append(base_ks() if n == 0 else _fitted_ks(degree_sequence(variant_graph)))
-            lengths.append(record.avg_length)
-            coverages.append(record.coverage)
+        ks_values, lengths, coverages = zip(*(plain_run((m, n) if n else None, i) for i in range(n_variants)))
         rows.append(CliqueSweepRow(m=m, n=n, mean_ks=_mean(ks_values), mean_length=_mean(lengths),
                                    mean_coverage=_mean(coverages)))
     return rows

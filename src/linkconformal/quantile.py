@@ -233,7 +233,8 @@ def fit_quantile_functions(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     config = config or QuantileConfig()
-    z = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    # Contiguous, like the endpoint columns below: np.take copies a strided source whole per call.
+    z = np.ascontiguousarray(np.atleast_2d(embeddings), dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if endpoints is None:
         n, rows_name = len(z), "embeddings"
@@ -268,8 +269,6 @@ def fit_quantile_functions(
     work = _Workspace(min(batch_size, n), shapes, levels, {min(batch_size, n), n % batch_size} - {0})
     optimizer = MomentumSGD([params], config.learning_rate, config.momentum)
     if endpoints is not None:
-        # The endpoint columns, contiguous: np.take copies a strided source
-        # whole on every call.
         u, v = np.ascontiguousarray(endpoints.T)
     for _ in range(config.epochs):
         order = rng.permutation(n)

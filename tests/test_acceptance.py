@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import spearmanr
 
@@ -36,6 +37,7 @@ def _report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_marginal_coverage():
     # synthetic power-law graph (M=2000, beta=2.5) with injected cliques,
     # alpha=0.1, >= 800 calibration edges, 20 trials
@@ -47,7 +49,7 @@ def test_criterion_1_marginal_coverage():
         model=BASE_MODEL, quantile=MILD_QNET, run_sampled_arm=False,
     )
     graph = load_graph(cfg)
-    n_pos = len(graph.edges)
+    n_pos = graph.num_edges
     calib_edges = 2 * int(np.floor(0.2 * n_pos))
     report = run_pipeline(cfg, graph=graph)
     covs = [t.coverage for t in report.trials if t.arm == "cqr" and t.error is None]
@@ -85,7 +87,7 @@ def test_criterion_3_permutation_invariance():
                             batch_size=1024, scorer_hidden_dim=12)
     g = lc.generate_powerlaw_graph(400, 2.5, 1, seed=31)
     g = lc.ensure_features(g, 8, seed=32)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = lc.negative_sample(g, len(pos), seed=33)
     split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=34)
     sub = lc.training_subgraph(g, split)
@@ -158,7 +160,7 @@ def test_criterion_5_mle_recovery():
 def test_criterion_6_gradient_checks():
     g = lc.generate_powerlaw_graph(120, 2.5, 1, seed=0)
     g = lc.ensure_features(g, 6, seed=1)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = lc.negative_sample(g, len(pos), seed=2)
     split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=3)
     sub = lc.training_subgraph(g, split)
@@ -181,6 +183,7 @@ def test_criterion_6_gradient_checks():
                    f"pinball head {pinball_err:.2e} (100 coords, step 1e-6)")
 
 
+@pytest.mark.slow
 def test_criterion_7_ks_length_trend():
     base = lc.generate_latent_powerlaw_graph(2000, 2.5, 10, 16, seed=7, homophily=10.0)
     cfg = RunConfig(alpha=0.1, seed=7, n_splits=1, n_reps=1, feature_dim=16,
@@ -201,7 +204,7 @@ def test_criterion_8_sampler_reduces_ks():
     for seed in range(5):
         g = lc.generate_powerlaw_graph(2000, 2.5, 1, seed=derive_seed(777, seed, "graph"))
         g = lc.inject_cliques(g, 25, 5, seed=derive_seed(777, seed, "cliques"))
-        pos = sorted(g.edges)
+        pos = g.edge_array()
         neg = lc.negative_sample(g, len(pos), seed=derive_seed(777, seed, "neg"))
         split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=derive_seed(777, seed, "split"))
         sub = lc.training_subgraph(g, split)
@@ -220,6 +223,7 @@ def test_criterion_8_sampler_reduces_ks():
     _report(8, reduced >= 4, f"directional sampler reduced fitted KS in {reduced}/5 seeds: {pairs}")
 
 
+@pytest.mark.slow
 def test_criterion_9_efficiency_improvement():
     cfg = RunConfig(
         alpha=0.1, seed=555, n_splits=5, n_reps=2,
@@ -243,7 +247,7 @@ def test_criterion_9_efficiency_improvement():
 def test_criterion_10_lambda_monotonicity():
     g = lc.generate_powerlaw_graph(2000, 2.5, 1, seed=10)
     g = lc.inject_cliques(g, 25, 5, seed=11)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = lc.negative_sample(g, len(pos), seed=12)
     split = lc.split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=13)
     sub = lc.training_subgraph(g, split)

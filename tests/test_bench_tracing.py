@@ -68,16 +68,18 @@ def test_traced_run_passes_the_bench_output_checks(monkeypatch):
 
 # Each trial fits its training subgraph once, for ks_before and every sampled
 # arm; each sampled arm fits its sampled graph once, for ks_after; and
-# sweep_cliques fits the base graph once for every n = 0 variant, and not at
-# all on a grid without an n = 0 point.
+# sweep_cliques runs each distinct variant graph's trial once, and fits the
+# base graph once for all n = 0 points, and not at all on a grid without one.
 @pytest.mark.parametrize("run, fits", [
     # ks_before, then ks_after of the one sampled arm
     (lambda: run_pipeline(tiny_config(n_splits=1, n_reps=1)), 2),
     # ks_before, then one ks_after per lambda
     (lambda: sweep_lambda(tiny_config(sampler_mode="directional"), [0.5, 1.0, 4.0]), 4),
-    # the golden grid: six plain trials, the base graph, two injected variants
+    # the golden grid: four plain trials (two variants each of the base graph,
+    # which both n = 0 points share, and of (8, 2)), the base graph once and
+    # the two injected variants
     (lambda: sweep_cliques(tiny_config(run_sampled_arm=False), [(5, 0), (8, 2), (9, 0)],
-                           n_variants=2), 9),
+                           n_variants=2), 7),
     # no n = 0 point: two plain trials and two injected variants
     (lambda: sweep_cliques(tiny_config(run_sampled_arm=False), [(8, 2)], n_variants=2), 4),
 ], ids=["run_pipeline", "sweep_lambda", "sweep_cliques", "sweep_cliques_no_base_point"])

@@ -24,7 +24,7 @@ SMALL = ModelConfig(hidden_dim=12, num_layers=2, epochs=30, learning_rate=0.05,
 def toy_setup(seed=0, n=120):
     g = generate_powerlaw_graph(n, 2.5, 1, seed=seed)
     g = ensure_features(g, 6, seed=seed + 1)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = negative_sample(g, len(pos), seed=seed + 2)
     split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=seed + 3)
     return training_subgraph(g, split), split
@@ -54,8 +54,7 @@ class TestEncodeNodes:
         params = random_params(rng)
         g, _ = toy_setup(seed=5)
         perm = rng.permutation(g.num_nodes)
-        remapped_edges = frozenset((int(perm[u]), int(perm[v])) for u, v in g.edges)
-        permuted = Graph(g.num_nodes, remapped_edges, features=g.features[np.argsort(perm)])
+        permuted = Graph(g.num_nodes, perm[g.edge_array()], features=g.features[np.argsort(perm)])
         h = encode_nodes(params, g)
         hp = encode_nodes(params, permuted)
         assert np.allclose(hp[perm], h, atol=1e-9)
@@ -298,7 +297,7 @@ def test_structural_features_correlate_with_structure():
 def test_mean_neighbor_variant_trains():
     g = generate_powerlaw_graph(120, 2.5, 1, seed=40)
     g = ensure_features(g, 6, seed=41)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = negative_sample(g, len(pos), seed=42)
     split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=43)
     sub = training_subgraph(g, split)

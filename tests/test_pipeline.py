@@ -214,6 +214,16 @@ class TestSweepCliques:
         assert row_a.mean_ks == row_b.mean_ks
         assert row_a.mean_length == row_b.mean_length
 
+    def test_each_distinct_variant_graph_runs_once(self, link_trainings):
+        # Both n = 0 points run on the base graph and (8, 2) repeats: two
+        # variants each of the base graph and of the (8, 2) injection.
+        grid = [(5, 0), (8, 2), (9, 0), (8, 2)]
+        rows = sweep_cliques(tiny_config(run_sampled_arm=False), grid, n_variants=2)
+        assert len(link_trainings) == 4
+        assert [(r.m, r.n) for r in rows] == grid
+        means = [(r.mean_ks, r.mean_length, r.mean_coverage) for r in rows]
+        assert means[0] == means[2] and means[1] == means[3]
+
     def test_ks_grows_with_clique_size(self):
         cfg = tiny_config(synth_nodes=800, run_sampled_arm=False)
         rows = sweep_cliques(cfg, [(6, 4), (20, 4)], n_variants=2)

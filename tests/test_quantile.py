@@ -328,6 +328,27 @@ class TestFitMatchesOracle:
         for got, fitted, want in zip(streamed.param_arrays(), on_rows.param_arrays(), expected):
             assert got.tobytes() == fitted.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["prebuilt", "streamed"])
+    def test_strided_embeddings_fit_the_same_weights(self, streamed):
+        # A sliced or Fortran-ordered matrix is made contiguous once per call.
+        rng = np.random.default_rng(27)
+        base = rng.standard_normal((203, 10))
+        contiguous = np.ascontiguousarray(base[:, :5])
+        rows = rng.integers(0, 203, size=(150, 2)) if streamed else None
+        y = (rng.random(203 if rows is None else 150) < 0.5).astype(float)
+        cfg = QuantileConfig(epochs=5, learning_rate=2e-2, batch_size=32, hidden_dim=9)
+
+        def weights(z):
+            model = fit_quantile_functions(z, y, 0.1, cfg, seed=28, endpoints=rows)
+            return [a.tobytes() for a in model.param_arrays()]
+
+        expected = weights(contiguous)
+        for strided in (base[:, :5], np.asfortranarray(contiguous)):
+            assert not strided.flags.c_contiguous
+            assert weights(strided) == expected
+            if streamed:
+                assert edge_embeddings(strided, rows).tobytes() == edge_embeddings(contiguous, rows).tobytes()
+
     def test_step_matches_and_loss_path_is_loss_only(self):
         rng = np.random.default_rng(17)
         z = rng.standard_normal((50, 4))

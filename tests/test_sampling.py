@@ -16,6 +16,8 @@ from linkconformal.sampling import (
 )
 from linkconformal.seeding import derive_rng, derive_seed, edge_uniforms
 
+from test_graph import row_set
+
 
 class TestParetoSequence:
     def test_inverse_cdf_at_zero(self):
@@ -189,10 +191,6 @@ class TestKeepProbability:
             keep_probabilities([(1, 2)], np.arange(10), fit, SamplerConfig(mode="directional"))
 
 
-def row_set(rows):
-    return set(map(tuple, rows.tolist()))
-
-
 def degree_fit(sub):
     """The training subgraph's node degrees and their fit, as a trial makes them."""
     node_deg = degree_sequence(sub)
@@ -204,7 +202,7 @@ def clique_setup(seed=0):
     """A split of a clique-injected graph, and its subgraph's degrees and fit."""
     g = generate_powerlaw_graph(600, 2.5, 1, seed=seed)
     g = inject_cliques(g, 12, 4, seed=seed + 1)
-    pos = sorted(g.edges)
+    pos = g.edge_array()
     neg = negative_sample(g, len(pos), seed=seed + 2)
     split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=seed + 3)
     return (split, *degree_fit(training_subgraph(g, split)))
@@ -301,7 +299,7 @@ class TestSampleEdges:
         for seed in range(5):
             g = generate_powerlaw_graph(2000, 2.5, 1, seed=derive_seed(777, seed, "graph"))
             g = inject_cliques(g, 25, 5, seed=derive_seed(777, seed, "cliques"))
-            pos = sorted(g.edges)
+            pos = g.edge_array()
             neg = negative_sample(g, len(pos), seed=derive_seed(777, seed, "neg"))
             split = split_edges(pos, neg, (0.5, 0.1, 0.2, 0.2), seed=derive_seed(777, seed, "split"))
             sub = training_subgraph(g, split)
