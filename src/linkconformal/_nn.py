@@ -33,6 +33,15 @@ def load_dump(path, kind: str) -> dict:
     return payload
 
 
+def check_training_settings(config) -> None:
+    """The range checks that ModelConfig and QuantileConfig share."""
+    for name, low in (("hidden_dim", 1), ("batch_size", 1), ("learning_rate", 0), ("epochs", 0)):
+        if getattr(config, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    if not 0.0 <= config.momentum < 1.0:
+        raise ValueError(f"momentum must lie in [0, 1), got {config.momentum}")
+
+
 def init_weight(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import _parse_floats, build_run_config, parse_config_text
+from .config import _KEY_TABLE, _parse_floats, build_run_config, parse_config_text
 from .graph import (_edge_list_text, _write_text, degree_sequence, generate_powerlaw_graph, inject_cliques,
                     load_edge_list)
 from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
@@ -39,9 +39,8 @@ def _add_common(parser):
 
 def _run_config(args) -> "RunConfig":
     file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    # The common flags' destinations are the config keys they override.
-    keys = ("seed", "alpha", "lambda", "sampler_mode", "sampler_agg", "edge_list", "feature_file", "splits", "reps")
-    return build_run_config(file_values, {key: getattr(args, key) for key in keys})
+    # A flag whose destination is a config key overrides that key.
+    return build_run_config(file_values, {key: value for key, value in vars(args).items() if key in _KEY_TABLE})
 
 
 def _emit(text: str, out_path) -> int:
@@ -136,10 +135,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # One line and status 2, as argparse reports a bad argument.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        parser.exit(2, f"{parser.prog}: error: {message}\n")
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ override the built-in defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 from .graph import _checked_ratios, _content_lines
 from .model import ModelConfig
@@ -53,8 +53,12 @@ class RunConfig:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.feature_mode not in ("random", "structural"):
             raise ValueError(f"feature_mode must be 'random' or 'structural', got {self.feature_mode!r}")
-        # The sampler's own checks, run before any trial trains a model.
-        SamplerConfig(lam=self.sampler_lambda, agg=self.sampler_agg, mode=self.sampler_mode)
+        self.sampler()  # the sampler's own checks, run before any trial trains a model
+
+    def sampler(self, lam: Optional[float] = None, seed: int = 0) -> SamplerConfig:
+        """The sampler settings, with ``lam`` in place of the configured lambda when given."""
+        return SamplerConfig(lam=self.sampler_lambda if lam is None else lam, agg=self.sampler_agg,
+                             mode=self.sampler_mode, seed=seed)
 
 
 def _parse_bool(text: str) -> bool:
@@ -74,40 +78,32 @@ def _parse_opt_int(text: str):
     return None if text.strip().lower() in ("", "none") else int(text)
 
 
-# key -> (coercion, config section, field name); section None means RunConfig itself.
-_KEY_TABLE = {
-    "alpha": (float, None, "alpha"),
-    "ratios": (_parse_floats, None, "ratios"),
-    "seed": (int, None, "seed"),
-    "splits": (int, None, "n_splits"),
-    "reps": (int, None, "n_reps"),
-    "edge_list": (str, None, "edge_list"),
-    "feature_file": (str, None, "feature_file"),
-    "feature_dim": (int, None, "feature_dim"),
-    "feature_mode": (str, None, "feature_mode"),
-    "synth_nodes": (int, None, "synth_nodes"),
-    "synth_beta": (float, None, "synth_beta"),
-    "synth_d_min": (int, None, "synth_d_min"),
-    "clique_m": (int, None, "clique_m"),
-    "clique_n": (int, None, "clique_n"),
-    "lambda": (float, None, "sampler_lambda"),
-    "sampler_mode": (str, None, "sampler_mode"),
-    "sampler_agg": (str, None, "sampler_agg"),
-    "run_sampled_arm": (_parse_bool, None, "run_sampled_arm"),
-    "model_hidden_dim": (int, "model", "hidden_dim"),
-    "model_num_layers": (int, "model", "num_layers"),
-    "model_aggregation": (str, "model", "aggregation"),
-    "model_epochs": (int, "model", "epochs"),
-    "model_learning_rate": (float, "model", "learning_rate"),
-    "model_batch_size": (int, "model", "batch_size"),
-    "model_momentum": (float, "model", "momentum"),
-    "model_scorer_hidden_dim": (_parse_opt_int, "model", "scorer_hidden_dim"),
-    "quantile_epochs": (int, "quantile", "epochs"),
-    "quantile_learning_rate": (float, "quantile", "learning_rate"),
-    "quantile_batch_size": (int, "quantile", "batch_size"),
-    "quantile_hidden_dim": (int, "quantile", "hidden_dim"),
-    "quantile_momentum": (float, "quantile", "momentum"),
-}
+# A field's annotation -> the coercion of its config-file string.
+_COERCIONS = {float: float, int: int, str: str, Optional[str]: str, bool: _parse_bool,
+              tuple: _parse_floats, Optional[int]: _parse_opt_int}
+# RunConfig fields whose config key is not the field name.
+_SHORT_KEYS = {"n_splits": "splits", "n_reps": "reps", "sampler_lambda": "lambda"}
+# RunConfig fields that hold a network's settings; their keys take the field name as prefix.
+_SECTIONS = {"model": ModelConfig, "quantile": QuantileConfig}
+
+
+def _key_table() -> dict:
+    """key -> (coercion, config section, field name); section None means RunConfig itself.
+
+    RunConfig's own fields come first, then each section's, in declaration order.
+    """
+    table = {}
+    for section, cls in ((None, RunConfig), *_SECTIONS.items()):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if section is None and f.name in _SECTIONS:
+                continue
+            key = _SHORT_KEYS.get(f.name, f.name) if section is None else f"{section}_{f.name}"
+            table[key] = (_COERCIONS[hints[f.name]], section, f.name)
+    return table
+
+
+_KEY_TABLE = _key_table()
 
 
 def parse_config_text(text: str) -> dict:
@@ -131,15 +127,18 @@ def build_run_config(file_values: Optional[dict] = None, overrides: Optional[dic
     maps the same keys to already-typed values (None entries are ignored).
     """
     merged = {**(file_values or {}), **{k: v for k, v in (overrides or {}).items() if v is not None}}
-    buckets = {None: {}, "model": {}, "quantile": {}}
+    buckets = {None: {}, **{section: {} for section in _SECTIONS}}
     for key, value in merged.items():
+        if key not in _KEY_TABLE:
+            raise ValueError(f"unknown config key {key!r}")
         coerce, section, name = _KEY_TABLE[key]
-        buckets[section][name] = coerce(value) if isinstance(value, str) else value
-    return RunConfig(
-        model=ModelConfig(**buckets["model"]),
-        quantile=QuantileConfig(**buckets["quantile"]),
-        **buckets[None],
-    )
+        if isinstance(value, str):
+            try:
+                value = coerce(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        buckets[section][name] = value
+    return RunConfig(**buckets[None], **{section: cls(**buckets[section]) for section, cls in _SECTIONS.items()})
 
 
 def config_echo(config: RunConfig) -> dict:

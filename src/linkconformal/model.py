@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, save_dump
+from ._nn import MomentumSGD, check_training_settings, init_weight, load_dump, max_relative_gradient_error, save_dump
 from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
@@ -42,16 +42,7 @@ class ModelConfig:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_training_settings(self)
         if self.scorer_hidden_dim is not None and self.scorer_hidden_dim < 1:
             raise ValueError(f"scorer_hidden_dim must be >= 1, got {self.scorer_hidden_dim}")
 

@@ -42,7 +42,7 @@ from .graph import (
 from .model import edge_embeddings, encode_nodes, structural_features, train_link_predictor
 from .powerlaw import PowerLawFit, adaptive_min_tail, fit_power_law
 from .quantile import fit_quantile_functions
-from .sampling import SamplerConfig, sample_edges
+from .sampling import sample_edges
 from .seeding import derive_seed
 
 
@@ -210,13 +210,7 @@ class _TrialBase:
         """Resampled fit rows and calibration rows, and the sampled graph's fields."""
         if self.degree_fit is None:
             raise DegenerateCalibrationError("the training subgraph admits no power-law fit")
-        config = self.config
-        sampler = SamplerConfig(
-            lam=config.sampler_lambda if lam is None else lam,
-            agg=config.sampler_agg,
-            mode=config.sampler_mode,
-            seed=derive_seed(config.seed, self.split_idx, self.rep_idx, "sampler"),
-        )
+        sampler = self.config.sampler(lam, derive_seed(self.config.seed, self.split_idx, self.rep_idx, "sampler"))
         train_s, val_s, calib_s = sample_edges(
             self.split.train, self.split.val, self.split.calib, self.node_degrees, self.degree_fit, sampler
         )
@@ -342,7 +336,7 @@ def sweep_lambda(config: RunConfig, lambdas: Sequence[float], graph: Optional[Gr
     if len(set(lambdas)) < len(lambdas):
         raise ValueError(f"sweep_lambda needs distinct lambda values, got {list(lambdas)}")
     for lam in lambdas:
-        SamplerConfig(lam=lam, agg=config.sampler_agg, mode=config.sampler_mode)
+        config.sampler(lam)
     per_lambda: dict = {lam: [] for lam in lambdas}
     for base in _trials(config, graph):
         for lam in lambdas:

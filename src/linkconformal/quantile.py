@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import MomentumSGD, init_weight, load_dump, max_relative_gradient_error, save_dump
+from ._nn import MomentumSGD, check_training_settings, init_weight, load_dump, max_relative_gradient_error, save_dump
 from .graph import _finite_rows, as_edge_rows
 from .model import _check_endpoints, _edge_product
 from .seeding import derive_rng
@@ -35,14 +35,7 @@ class QuantileConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.hidden_dim < 1:
-            raise ValueError("batch_size and hidden_dim must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_training_settings(self)
 
 
 @dataclass

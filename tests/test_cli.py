@@ -136,6 +136,13 @@ def test_unknown_config_key_is_one_error_line(tmp_path, capsys):
     _fails_with(capsys, ["run", "--config", str(config)], "config line 2: unknown key 'bogus_key'")
 
 
+def test_bad_config_value_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("synth_nodes = 300\nalpha = abc\n")
+    _fails_with(capsys, ["run", "--config", str(config)],
+                "config key 'alpha': could not convert string to float: 'abc'")
+
+
 def test_negative_lambda_is_one_error_line(capsys):
     _fails_with(capsys, ["run", "--lambda", "-1"], re.escape("lambda must be finite and >= 0, got -1.0"))
 

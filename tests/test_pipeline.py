@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
+
+
+# A valid value away from the default for every settable field.
+AWAY_RUN = dict(
+    alpha=0.2, ratios=(0.4, 0.2, 0.2, 0.2), seed=7, n_splits=2, n_reps=3, edge_list="edges.txt",
+    feature_file="features.txt", feature_dim=4, feature_mode="structural", synth_nodes=500,
+    synth_beta=2.2, synth_d_min=2, clique_m=5, clique_n=1, sampler_lambda=0.5, sampler_mode="literal",
+    sampler_agg="max", run_sampled_arm=False,
+)
+AWAY_MODEL = dict(hidden_dim=16, num_layers=2, aggregation="mean-neighbor", epochs=3, learning_rate=0.05,
+                  batch_size=256, momentum=0.5, scorer_hidden_dim=8)
+AWAY_QNET = dict(epochs=4, learning_rate=1e-3, batch_size=32, hidden_dim=16, momentum=0.8)
+
+
+def away_config():
+    return RunConfig(**AWAY_RUN, model=ModelConfig(**AWAY_MODEL), quantile=QuantileConfig(**AWAY_QNET))
 
 
 @pytest.fixture
@@ -338,6 +355,20 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("nonsense = 1\n")
+        for file_values, overrides in (({"nonsense": "1"}, None), (None, {"nonsense": 1})):
+            with pytest.raises(ValueError, match="^unknown config key 'nonsense'$"):
+                build_run_config(file_values, overrides)
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("alpha", "x", "could not convert string to float: 'x'"),
+        ("splits", "2.5", "invalid literal for int"),
+        ("ratios", "0.5,a", "could not convert string to float: 'a'"),
+        ("run_sampled_arm", "maybe", "cannot parse boolean from 'maybe'"),
+        ("model_scorer_hidden_dim", "wide", "invalid literal for int"),
+    ])
+    def test_coercion_error_names_the_key(self, key, text, message):
+        with pytest.raises(ValueError, match=f"^config key '{key}': {message}"):
+            build_run_config({key: text})
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -349,6 +380,33 @@ class TestConfig:
         assert echo["alpha"] == 0.1
         assert echo["model_epochs"] == 8
         assert list(echo) == list(config_echo(tiny_config()))
+
+    def test_echo_holds_every_field_once(self):
+        # Each field set away from its default changes exactly one echo entry,
+        # and every entry is changed by one field.
+        assert set(AWAY_RUN) == {f.name for f in fields(RunConfig)} - {"model", "quantile"}
+        assert set(AWAY_MODEL) == {f.name for f in fields(ModelConfig)}
+        assert set(AWAY_QNET) == {f.name for f in fields(QuantileConfig)}
+        default = RunConfig()
+        singles = [replace(default, **{name: value}) for name, value in AWAY_RUN.items()]
+        singles += [replace(default, model=replace(default.model, **{name: value}))
+                    for name, value in AWAY_MODEL.items()]
+        singles += [replace(default, quantile=replace(default.quantile, **{name: value}))
+                    for name, value in AWAY_QNET.items()]
+        default_echo = config_echo(default)
+        changed = []
+        for cfg in singles:
+            echo = config_echo(cfg)
+            assert list(echo) == list(default_echo)
+            changed += [key for key in echo if echo[key] != default_echo[key]]
+        assert sorted(changed) == sorted(default_echo)
+
+    @pytest.mark.parametrize("make", [tiny_config, away_config], ids=["tiny", "away"])
+    def test_echo_round_trips_through_a_config_file(self, make):
+        cfg = make()
+        text = "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+                       for key, value in config_echo(cfg).items() if value is not None)
+        assert build_run_config(parse_config_text(text)) == cfg
 
     def test_validation(self, link_trainings):
         with pytest.raises(ValueError):
@@ -374,10 +432,12 @@ class TestConfig:
                                 ({"model_scorer_hidden_dim": "0"}, "scorer_hidden_dim must be >= 1")):
             with pytest.raises(ValueError, match=message):
                 build_run_config(values)
-        for bad in (dict(epochs=-1), dict(momentum=1.0), dict(momentum=-0.1)):
-            with pytest.raises(ValueError):
+        for bad in (dict(epochs=-1), dict(momentum=1.0), dict(momentum=-0.1), dict(hidden_dim=0),
+                    dict(batch_size=0), dict(learning_rate=-1e-3)):
+            (name,) = bad
+            with pytest.raises(ValueError, match=f"^{name} must"):
                 ModelConfig(**bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{name} must"):
                 QuantileConfig(**bad)
         ModelConfig(epochs=0, momentum=0.0)
         QuantileConfig(epochs=0, momentum=0.0)
