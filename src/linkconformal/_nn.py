@@ -1,4 +1,4 @@
-"""Internal helpers shared by the trained networks: init, optimizer, checks, dumps."""
+"""Internal helpers shared by the trained networks: init, parameter layout, optimizer, checks, dumps."""
 
 from __future__ import annotations
 
@@ -47,53 +47,50 @@ def init_weight(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class MomentumSGD:
-    """Plain momentum descent: v <- mu*v - lr*g; w <- w + v."""
+def flat_views(arrays, flat=None):
+    """``flat`` and its consecutive views shaped like ``arrays``, one per array.
 
-    def __init__(self, arrays, learning_rate: float, momentum: float):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.velocity = [np.zeros_like(a) for a in arrays]
+    Without ``flat``, a fresh float64 vector that holds ``arrays`` end to end.
+    A network's weights, gradients and velocity laid out alike take one
+    ``momentum_step`` per step.
+    """
+    if flat is None:
+        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
 
-    def step(self, arrays, grads):
-        for a, g, v in zip(arrays, grads, self.velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            a += v
+
+def momentum_step(params, velocity, grad, learning_rate: float, momentum: float) -> None:
+    """Plain momentum descent, in place: v <- mu*v - lr*g; w <- w + v."""
+    velocity *= momentum
+    velocity -= learning_rate * grad
+    params += velocity
 
 
-def max_relative_gradient_error(
-    arrays,
-    loss_fn,
-    analytic_grads,
-    step: float,
-    n_coords: int,
-    rng: np.random.Generator,
-) -> float:
+def max_relative_gradient_error(arrays, loss_and_grads, step: float, n_coords: int, rng: np.random.Generator) -> float:
     """Compare analytic gradients to central finite differences.
 
-    Perturbs up to ``n_coords`` randomly chosen coordinates of ``arrays``
-    in place (restoring each afterwards) and returns the largest
-    |g_analytic - g_numeric| / max(|g_analytic|, |g_numeric|, floor).
+    ``loss_and_grads(arrays, want_grads)`` returns (loss, None) or (None,
+    gradients shaped like ``arrays``). On a flat copy of ``arrays``, perturbs
+    up to ``n_coords`` randomly chosen coordinates one at a time and returns
+    the largest |g_analytic - g_numeric| / max(|g_analytic|, |g_numeric|, floor).
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    sizes = [a.size for a in arrays]
-    total = sum(sizes)
-    chosen = rng.choice(total, size=min(n_coords, total), replace=False)
-    offsets = np.cumsum([0] + sizes)
+    flat, arrays = flat_views(arrays)
+    analytic = np.concatenate([np.ravel(g) for g in loss_and_grads(arrays, True)[1]])
     worst = 0.0
-    for flat in chosen:
-        k = int(np.searchsorted(offsets, flat, side="right")) - 1
-        idx = np.unravel_index(int(flat) - offsets[k], arrays[k].shape)
-        original = arrays[k][idx]
-        arrays[k][idx] = original + step
-        loss_plus = loss_fn()
-        arrays[k][idx] = original - step
-        loss_minus = loss_fn()
-        arrays[k][idx] = original
+    for i in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
+        original = flat[i]
+        flat[i] = original + step
+        loss_plus = loss_and_grads(arrays, False)[0]
+        flat[i] = original - step
+        loss_minus = loss_and_grads(arrays, False)[0]
+        flat[i] = original
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        analytic = analytic_grads[k][idx]
-        denom = max(abs(analytic), abs(numeric), _GRAD_FLOOR)
-        worst = max(worst, abs(analytic - numeric) / denom)
+        denom = max(abs(analytic[i]), abs(numeric), _GRAD_FLOOR)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst

@@ -20,6 +20,7 @@ from .graph import (_edge_list_text, _write_text, degree_sequence, generate_powe
                     load_edge_list)
 from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
 from .powerlaw import fit_power_law
+from .sampling import AGGREGATIONS, MODES
 from .seeding import derive_seed
 
 
@@ -29,8 +30,8 @@ def _add_common(parser):
     parser.add_argument("--out", help="output path (stdout when omitted)")
     parser.add_argument("--alpha", type=float, help="miscoverage level in (0, 1)")
     parser.add_argument("--lambda", type=float, help="sampler intensity")
-    parser.add_argument("--sampler-mode", choices=("literal", "directional"))
-    parser.add_argument("--sampler-agg", choices=("sum", "max"))
+    parser.add_argument("--sampler-mode", choices=MODES)
+    parser.add_argument("--sampler-agg", choices=AGGREGATIONS)
     parser.add_argument("--edge-list", help="edge-list file; synthetic graph when omitted")
     parser.add_argument("--feature-file", help="optional node feature file")
     parser.add_argument("--splits", type=int, help="number of random splits")

@@ -74,13 +74,14 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-def _parse_opt_int(text: str):
-    return None if text.strip().lower() in ("", "none") else int(text)
+def _or_none(coerce):
+    """``coerce``, except that ``none`` (any case) or an empty value reads as None."""
+    return lambda text: None if text.strip().lower() in ("", "none") else coerce(text)
 
 
 # A field's annotation -> the coercion of its config-file string.
-_COERCIONS = {float: float, int: int, str: str, Optional[str]: str, bool: _parse_bool,
-              tuple: _parse_floats, Optional[int]: _parse_opt_int}
+_COERCIONS = {float: float, int: int, str: str, bool: _parse_bool, tuple: _parse_floats}
+_COERCIONS.update({Optional[t]: _or_none(coerce) for t, coerce in list(_COERCIONS.items())})
 # RunConfig fields whose config key is not the field name.
 _SHORT_KEYS = {"n_splits": "splits", "n_reps": "reps", "sampler_lambda": "lambda"}
 # RunConfig fields that hold a network's settings; their keys take the field name as prefix.

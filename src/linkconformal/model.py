@@ -19,7 +19,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import MomentumSGD, check_training_settings, init_weight, load_dump, max_relative_gradient_error, save_dump
+from ._nn import (check_training_settings, flat_views, init_weight, load_dump, max_relative_gradient_error,
+                  momentum_step, save_dump)
 from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
@@ -152,10 +153,14 @@ def normalized_adjacency(graph: Graph, aggregation: str) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> np.ndarray:
+# Smoothing rounds of ``structural_features``.
+_STRUCTURAL_ROUNDS = 2
+
+
+def structural_features(graph: Graph, dim: int, seed: int) -> np.ndarray:
     """Node features correlated with the graph's structure.
 
-    Seeded standard-normal vectors smoothed ``rounds`` times over the mean
+    Seeded standard-normal vectors smoothed twice over the mean
     closed-neighborhood operator, then row-normalized. Nodes close in the
     graph get similar features, which makes the graph's own edges
     feature-predictable; edges added between random nodes afterwards (for
@@ -165,7 +170,7 @@ def structural_features(graph: Graph, dim: int, seed: int, rounds: int = 2) -> n
     rng = derive_rng(seed, "structural-features")
     x = rng.standard_normal((graph.num_nodes, dim))
     a_hat = normalized_adjacency(graph, "mean-neighbor")
-    for _ in range(rounds):
+    for _ in range(_STRUCTURAL_ROUNDS):
         x = a_hat @ x
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
@@ -223,18 +228,15 @@ def _edge_product(node_embeddings, u, v, out, spare):
     return np.multiply(out, spare, out=out)
 
 
-def edge_embeddings(
-    node_embeddings: np.ndarray, endpoints: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Batch edge embeddings for an (E, 2) endpoint array, written into ``out`` when given.
+def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
+    """Batch edge embeddings for an (E, 2) endpoint array.
 
     An endpoint outside [0, len(node_embeddings)) raises IndexError.
     """
     endpoints = np.asarray(endpoints, dtype=np.int64)
     node_embeddings = np.ascontiguousarray(node_embeddings)  # np.take copies a strided source per call
     _check_endpoints(endpoints, len(node_embeddings), "edge")
-    if out is None:
-        out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
+    out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
     spare = np.empty((min(len(endpoints), _EMBED_BLOCK_ROWS), node_embeddings.shape[1]), dtype=out.dtype)
     for start in range(0, len(endpoints), _EMBED_BLOCK_ROWS):
         rows = endpoints[start : start + _EMBED_BLOCK_ROWS]
@@ -280,10 +282,11 @@ def _workspace(rows, width, hidden):
 
 
 def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None,
-                        carry=None):
-    # Returns (loss, None) when not want_grads, else (None, gradients), which never
-    # share memory with ``work``, a ``_workspace`` for labels.size rows (fresh when
-    # not given). ``forward`` is the encoder pass at ``arrays`` when the caller has it.
+                        carry=None, grads=None):
+    # Returns (loss, None) when not want_grads, else (None, grads): arrays shaped like
+    # ``arrays`` that the call overwrites (fresh when not given). ``work`` is a
+    # ``_workspace`` for labels.size rows (fresh when not given); no gradient is
+    # written into it. ``forward`` is the encoder pass at ``arrays`` when the caller has it.
     # A loss-only call leaves it intact for a later step. A gradient step consumes
     # it: it empties the list, drops H after the endpoint gathers and each S_l
     # (l >= 1) after that layer's weight gradient, so that the backward pass's
@@ -316,22 +319,25 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     if not want_grads:
         # BCE from logits: softplus(logit) - y * logit, numerically stable.
         return float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits)), None
+    if grads is None:
+        _, grads = flat_views(arrays)
+    enc_grads, (d_w1, d_b1, d_w2, d_b2) = grads[:n_enc], grads[n_enc:]
     s = 1.0 / (1.0 + np.exp(-logits))
     dlogit = (s - labels) / rows
-    d_b2 = np.array([dlogit.sum()])
-    d_w2 = hidden.T @ dlogit
+    # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
+    np.add.reduce(dlogit, keepdims=True, out=d_b2)
+    np.matmul(hidden.T, dlogit, out=d_w2)
     np.greater(hidden, 0, out=positive)
     d_pre = np.multiply(dlogit[:, None], w2, out=hidden)
     d_pre *= positive
-    d_w1 = z.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
+    np.matmul(z.T, d_pre, out=d_w1)
+    np.add.reduce(d_pre, axis=0, out=d_b1)
     d_z = np.matmul(d_pre, w1.T, out=z)
     zv *= d_z
     zu *= d_z
     d = _scatter_rows(a_hat.shape[0], index, scatter)
-    enc_grads = [None] * n_enc
     for l in range(n_enc - 1, 0, -1):
-        enc_grads[l] = propagated[l].T @ d
+        np.matmul(propagated[l].T, d, out=enc_grads[l])
         propagated[l] = None
         # One product per statement, so that each node-sized temporary
         # is freed before the next one is allocated.
@@ -339,10 +345,10 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
         d = a_hat.T @ d
         d *= masks[l - 1]
     s0 = a_hat @ features
-    enc_grads[0] = s0.T @ d
+    np.matmul(s0.T, d, out=enc_grads[0])
     if carry is not None:
         carry.append(s0)
-    return None, enc_grads + [d_w1, d_b1, d_w2, d_b2]
+    return None, grads
 
 
 def _check_endpoints(endpoints, num_nodes, name):
@@ -400,10 +406,11 @@ def train_link_predictor(
     a_hat = normalized_adjacency(subgraph, config.aggregation)
     features = subgraph.features
     rng = derive_rng(seed, "train-link-predictor")
-    params = _init_params(rng, features.shape[1], config)
-    arrays = params.param_arrays()
+    # Weights, gradients and velocity share one flat layout.
+    params, arrays = flat_views(_init_params(rng, features.shape[1], config).param_arrays())
+    grad, grads = flat_views(arrays)
+    velocity = np.zeros_like(params)
     enc_weights = arrays[: config.num_layers]
-    optimizer = MomentumSGD(arrays, config.learning_rate, config.momentum)
     rows = max(min(config.batch_size, train_labels.size), len(val))
     work = _workspace(rows, config.hidden_dim, config.scorer_hidden)
     best_loss = np.inf
@@ -421,11 +428,11 @@ def train_link_predictor(
             batch = order[start : start + config.batch_size]
             if forward is None:
                 forward = _encoder_forward(a_hat, features, enc_weights, carry)
-            _, grads = _bce_loss_and_grads(
+            _bce_loss_and_grads(
                 arrays, a_hat, features, train_endpoints[batch], train_labels[batch], forward=forward, work=work,
-                carry=carry,
+                carry=carry, grads=grads,
             )
-            optimizer.step(arrays, grads)
+            momentum_step(params, velocity, grad, config.learning_rate, config.momentum)
             forward = None
         if val_labels is not None:
             forward = _encoder_forward(a_hat, features, enc_weights, carry)
@@ -434,13 +441,12 @@ def train_link_predictor(
             )
             if val_loss < best_loss:
                 best_loss = val_loss
-                best = [a.copy() for a in arrays]
-    if best is None:
-        best = [a.copy() for a in arrays]
+                best = params.copy()
+    best = params if best is None else best
+    best.flags.writeable = False  # and so are its views
+    _, weights = flat_views(arrays, best)
     n_enc = config.num_layers
-    for a in best:
-        a.flags.writeable = False
-    return ModelParams(best[:n_enc], best[n_enc], best[n_enc + 1], best[n_enc + 2], best[n_enc + 3], config)
+    return ModelParams(weights[:n_enc], *weights[n_enc:], config)
 
 
 def gradient_check(
@@ -457,13 +463,8 @@ def gradient_check(
     endpoints, labels = _as_endpoint_arrays(batch)
     _check_endpoints(endpoints, graph.num_nodes, "batch")
     a_hat = normalized_adjacency(graph, params.config.aggregation)
-    arrays = [a.copy() for a in params.param_arrays()]
-    _, grads = _bce_loss_and_grads(arrays, a_hat, graph.features, endpoints, labels)
-
-    def loss_fn():
-        return _bce_loss_and_grads(
-            arrays, a_hat, graph.features, endpoints, labels, want_grads=False
-        )[0]
-
-    rng = derive_rng(seed, "gradient-check")
-    return max_relative_gradient_error(arrays, loss_fn, grads, step, n_coords, rng)
+    return max_relative_gradient_error(
+        params.param_arrays(),
+        lambda arrays, want_grads: _bce_loss_and_grads(arrays, a_hat, graph.features, endpoints, labels, want_grads),
+        step, n_coords, derive_rng(seed, "gradient-check"),
+    )

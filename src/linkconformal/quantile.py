@@ -13,14 +13,14 @@ all fit rows is built.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import MomentumSGD, check_training_settings, init_weight, load_dump, max_relative_gradient_error, save_dump
+from ._nn import (check_training_settings, flat_views, init_weight, load_dump, max_relative_gradient_error,
+                  momentum_step, save_dump)
 from .graph import _finite_rows, as_edge_rows
 from .model import _check_endpoints, _edge_product
 from .seeding import derive_rng
@@ -110,22 +110,12 @@ def pinball_loss(prediction, target, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _views(flat: np.ndarray, shapes):
-    """Consecutive views of the 1-D buffer ``flat``, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
-
-
 # Views of a ``_Workspace``'s buffers for a batch of m rows.
 _Batch = namedtuple("_Batch", "z y u v spare a1 m1 a2 m2 out ge slopes")
 
 
 class _Workspace:
-    """Buffers for ``_loss_and_grads`` on up to ``rows`` rows, for parameters of ``shapes``.
+    """Buffers for ``_loss_and_grads`` on up to ``rows`` rows, for parameters shaped like ``arrays``.
 
     ``batches[m]`` holds views of the buffers' first m rows for each batch
     size m in ``sizes``, made once. ``z`` and ``y`` hold a batch. A streamed
@@ -136,13 +126,13 @@ class _Workspace:
     and ``ge`` is the mask y >= out. ``slopes`` holds d loss / d prediction
     per head for a batch of m rows: row 0 where y >= out (the kink at
     y == out takes the gamma branch), row 1 elsewhere. ``grads`` are views
-    of the flat buffer ``grad``, in the order and shapes of the parameters.
+    of the flat buffer ``grad``, laid out as the parameters.
     One workspace per fit keeps its steps from allocating arrays of the
     batch's size.
     """
 
-    def __init__(self, rows: int, shapes, levels, sizes):
-        dim, hidden = shapes[0]
+    def __init__(self, rows: int, arrays, levels, sizes):
+        dim, hidden = arrays[0].shape
         buffers = (
             np.empty((rows, dim)), np.empty(rows), np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
             np.empty((rows, dim)), np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
@@ -152,8 +142,7 @@ class _Workspace:
         lo, hi = levels
         slopes = np.array([[-lo, -hi], [1.0 - lo, 1.0 - hi]])
         self.batches = {m: _Batch(*(buf[:m] for buf in buffers), slopes / m) for m in sizes}
-        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
-        self.grads = _views(self.grad, shapes)
+        self.grad, self.grads = flat_views(arrays)
 
 
 def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
@@ -162,7 +151,7 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
     # whose buffers the call overwrites. ``z`` and ``y`` may be its batch buffers.
     w1, b1, w2, b2, w3, b3 = arrays
     rows = y.size
-    work = work or _Workspace(rows, [a.shape for a in arrays], levels, (rows,))
+    work = work or _Workspace(rows, arrays, levels, (rows,))
     _, _, _, _, _, a1, m1, a2, m2, out, ge, slopes = work.batches[rows]
     np.matmul(z, w1, out=a1)
     a1 += b1
@@ -244,23 +233,19 @@ def fit_quantile_functions(
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
     rng = derive_rng(seed, "fit-quantiles")
     dim, k = z.shape[1], config.hidden_dim
-    initial = [
+    # Weights, velocity and the workspace's gradients share one flat layout.
+    params, arrays = flat_views([
         init_weight(rng, dim, (dim, k)),
         np.zeros(k),
         init_weight(rng, k, (k, k)),
         np.zeros(k),
         init_weight(rng, k, (k, 2)),
         np.zeros(2),
-    ]
-    # The parameters are views of one flat buffer, laid out as the workspace's
-    # gradients, so that each step is one optimizer update.
-    shapes = [a.shape for a in initial]
-    params = np.concatenate([a.ravel() for a in initial])
-    arrays = _views(params, shapes)
+    ])
+    velocity = np.zeros_like(params)
     batch_size = config.batch_size
     # Every batch has batch_size rows, except a shorter last one.
-    work = _Workspace(min(batch_size, n), shapes, levels, {min(batch_size, n), n % batch_size} - {0})
-    optimizer = MomentumSGD([params], config.learning_rate, config.momentum)
+    work = _Workspace(min(batch_size, n), arrays, levels, {min(batch_size, n), n % batch_size} - {0})
     if endpoints is not None:
         u, v = np.ascontiguousarray(endpoints.T)
     for _ in range(config.epochs):
@@ -277,7 +262,7 @@ def fit_quantile_functions(
                 _edge_product(z, rows.u, rows.v, rows.z, rows.spare)
             np.take(y, batch, out=rows.y, mode="wrap")
             _loss_and_grads(arrays, rows.z, rows.y, levels, work=work)
-            optimizer.step([params], [work.grad])
+            momentum_step(params, velocity, work.grad, config.learning_rate, config.momentum)
     for a in arrays:
         a.flags.writeable = False
     return QuantileModel(*arrays, levels=levels)
@@ -298,11 +283,7 @@ def quantile_gradient_check(
     """
     z = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     y = np.asarray(labels, dtype=np.float64)
-    arrays = [a.copy() for a in model.param_arrays()]
-    _, grads = _loss_and_grads(arrays, z, y, model.levels)
-
-    def loss_fn():
-        return _loss_and_grads(arrays, z, y, model.levels, want_grads=False)[0]
-
-    rng = derive_rng(seed, "quantile-gradient-check")
-    return max_relative_gradient_error(arrays, loss_fn, grads, step, n_coords, rng)
+    return max_relative_gradient_error(
+        model.param_arrays(), lambda arrays, want_grads: _loss_and_grads(arrays, z, y, model.levels, want_grads),
+        step, n_coords, derive_rng(seed, "quantile-gradient-check"),
+    )

@@ -33,6 +33,10 @@ from .graph import degree_sequence  # noqa: F401
 from .powerlaw import fit_power_law  # noqa: F401
 
 
+MODES = ("literal", "directional")
+AGGREGATIONS = ("sum", "max")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     lam: float = 0.3
@@ -43,10 +47,10 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.agg not in ("sum", "max"):
-            raise ValueError(f"agg must be 'sum' or 'max', got {self.agg!r}")
-        if self.mode not in ("literal", "directional"):
-            raise ValueError(f"mode must be 'literal' or 'directional', got {self.mode!r}")
+        if self.agg not in AGGREGATIONS:
+            raise ValueError(f"agg must be one of {AGGREGATIONS}, got {self.agg!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.ndarray:

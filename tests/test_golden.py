@@ -8,8 +8,15 @@ reports, and say why. With names, only those files are rewritten, so that
 adding a golden leaves the others untouched; without, all of them are:
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+The benchmark's two workloads are pinned too, by the sha256 of their
+``bench/workloads.result_bytes`` at one BLAS thread: their reports are
+larger, and their bytes depend on the thread count (four dense products
+reduce in another order at another count).
 """
 
+import os
+import subprocess
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -23,6 +30,7 @@ from linkconformal.quantile import QuantileConfig
 from test_pipeline import TINY_MODEL, tiny_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rejection_config():
@@ -70,6 +78,30 @@ def test_report_matches_golden(name, tmp_path):
     path = tmp_path / name
     write_report(GOLDEN[name](), path)
     assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+# Leading 16 hex digits of each workload's report sha256, at its default seed.
+BENCH_HASHES = {"acceptance-trial": "aa1a220faf45a923", "large-graph": "a77f2e67a573c7a8"}
+
+_HASH_WORKLOADS = """
+import hashlib, sys
+from linkconformal.pipeline import load_graph, run_pipeline
+from workloads import WORKLOADS, result_bytes
+for name in sys.argv[1:]:
+    config = WORKLOADS[name].make_config(WORKLOADS[name].default_seed)
+    report = run_pipeline(config, graph=load_graph(config))
+    print(name, hashlib.sha256(result_bytes(report)).hexdigest()[:16])
+"""
+
+
+def test_bench_workload_reports_match_their_pinned_hashes():
+    # A subprocess, because OpenBLAS reads its thread count when it loads.
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _HASH_WORKLOADS, *BENCH_HASHES], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == BENCH_HASHES
 
 
 if __name__ == "__main__":

@@ -311,11 +311,52 @@ def test_mean_neighbor_variant_trains():
 # --- exact-equality oracles for the training kernels -------------------------
 # The encoder pass, BCE loss/gradients and training loop as they were before
 # the scatter became a sparse product and the validation pass started feeding
-# the next step, kept verbatim. The kernels now must match them bit for bit.
+# the next step, and the per-array optimizer and gradient-check loop as they
+# were before parameters became views of one flat vector, kept verbatim. The
+# kernels now must match them bit for bit.
 
-from linkconformal._nn import MomentumSGD
+from linkconformal._nn import _GRAD_FLOOR
 from linkconformal.model import _as_endpoint_arrays, _bce_loss_and_grads, _init_params, _scorer_logits
 from linkconformal.seeding import derive_rng
+
+
+class MomentumSGD:
+    """Plain momentum descent: v <- mu*v - lr*g; w <- w + v."""
+
+    def __init__(self, arrays, learning_rate: float, momentum: float):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads):
+        for a, g, v in zip(arrays, grads, self.velocity):
+            v *= self.momentum
+            v -= self.learning_rate * g
+            a += v
+
+
+def reference_max_relative_gradient_error(arrays, loss_fn, analytic_grads, step, n_coords, rng):
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    sizes = [a.size for a in arrays]
+    total = sum(sizes)
+    chosen = rng.choice(total, size=min(n_coords, total), replace=False)
+    offsets = np.cumsum([0] + sizes)
+    worst = 0.0
+    for flat in chosen:
+        k = int(np.searchsorted(offsets, flat, side="right")) - 1
+        idx = np.unravel_index(int(flat) - offsets[k], arrays[k].shape)
+        original = arrays[k][idx]
+        arrays[k][idx] = original + step
+        loss_plus = loss_fn()
+        arrays[k][idx] = original - step
+        loss_minus = loss_fn()
+        arrays[k][idx] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        analytic = analytic_grads[k][idx]
+        denom = max(abs(analytic), abs(numeric), _GRAD_FLOOR)
+        worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
 
 
 def reference_encoder_forward(a_hat, features, weights):
@@ -445,6 +486,28 @@ class TestKernelsMatchOracle:
         expected = reference_train_arrays(sub, split.train, val, config, seed=53)
         for got, want in zip(params.param_arrays(), expected):
             assert np.array_equal(got, want)
+
+
+class TestGradientCheckMatchesOracle:
+    # 40 of the 357 coordinates, then every one of them.
+    @pytest.mark.parametrize("n_coords", [40, 1000])
+    def test_same_error_as_the_per_array_check(self, n_coords):
+        sub, split = toy_setup(seed=75)
+        params = random_params(np.random.default_rng(76))
+        batch = split.train[:24]
+        endpoints, labels = _as_endpoint_arrays(batch)
+        a_hat = normalized_adjacency(sub, params.config.aggregation)
+        arrays = [a.copy() for a in params.param_arrays()]
+        _, grads = _bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels)
+
+        def loss_fn():
+            return _bce_loss_and_grads(arrays, a_hat, sub.features, endpoints, labels, want_grads=False)[0]
+
+        expected = reference_max_relative_gradient_error(arrays, loss_fn, grads, 1e-6, n_coords,
+                                                         derive_rng(3, "gradient-check"))
+        assert sum(a.size for a in arrays) == 357
+        assert expected > 0
+        assert gradient_check(params, batch, sub, step=1e-6, n_coords=n_coords, seed=3) == expected
 
 
 class TestWorkspace:

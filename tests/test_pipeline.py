@@ -404,9 +404,23 @@ class TestConfig:
     @pytest.mark.parametrize("make", [tiny_config, away_config], ids=["tiny", "away"])
     def test_echo_round_trips_through_a_config_file(self, make):
         cfg = make()
-        text = "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
-                       for key, value in config_echo(cfg).items() if value is not None)
+
+        def value_text(value):
+            if value is None:
+                return "none"
+            return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+        text = "".join(f"{key} = {value_text(value)}\n" for key, value in config_echo(cfg).items())
         assert build_run_config(parse_config_text(text)) == cfg
+
+    def test_none_unsets_every_optional_key(self):
+        # The optional keys are the ones whose default is None.
+        unset = {"edge_list": "none", "feature_file": "", "model_scorer_hidden_dim": "None"}
+        assert {key for key, value in config_echo(RunConfig()).items() if value is None} == set(unset)
+        cfg = build_run_config(unset)
+        assert (cfg.edge_list, cfg.feature_file, cfg.model.scorer_hidden_dim) == (None, None, None)
+        cfg = build_run_config({"edge_list": "g.txt", "feature_file": "x.txt", "model_scorer_hidden_dim": "7"})
+        assert (cfg.edge_list, cfg.feature_file, cfg.model.scorer_hidden_dim) == ("g.txt", "x.txt", 7)
 
     def test_validation(self, link_trainings):
         with pytest.raises(ValueError):

@@ -237,12 +237,31 @@ class TestModelIO:
 
 # --- exact-equality oracle for the quantile fit ------------------------------
 # The step and loop as they were before the discarded loss was dropped from
-# the gradient path, kept verbatim. The fit now must match them bit for bit.
+# the gradient path, and the per-array optimizer as it was before parameters
+# became views of one flat vector, kept verbatim. The fit now must match them
+# bit for bit.
 
-from linkconformal._nn import MomentumSGD, init_weight
+from linkconformal._nn import init_weight
 from linkconformal.model import edge_embeddings
 from linkconformal.quantile import _loss_and_grads
 from linkconformal.seeding import derive_rng
+
+from test_model import reference_max_relative_gradient_error
+
+
+class MomentumSGD:
+    """Plain momentum descent: v <- mu*v - lr*g; w <- w + v."""
+
+    def __init__(self, arrays, learning_rate: float, momentum: float):
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.velocity = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads):
+        for a, g, v in zip(arrays, grads, self.velocity):
+            v *= self.momentum
+            v -= self.learning_rate * g
+            a += v
 
 
 def _pinball_slope(prediction, target, gamma):
@@ -363,3 +382,22 @@ class TestFitMatchesOracle:
         for g, e in zip(grads, expected):
             assert np.array_equal(g, e)
         assert quantile_gradient_check(model, z, y, step=1e-6, n_coords=60, seed=1) < 1e-4
+
+    # 30 of the 107 coordinates, then every one of them.
+    @pytest.mark.parametrize("n_coords", [30, 1000])
+    def test_gradient_check_matches_the_per_array_check(self, n_coords):
+        rng = np.random.default_rng(29)
+        z = rng.standard_normal((60, 4))
+        y = rng.random(60)
+        model = fit_quantile_functions(z, y, 0.2, QuantileConfig(epochs=3, hidden_dim=7), seed=30)
+        arrays = [a.copy() for a in model.param_arrays()]
+        _, grads = _loss_and_grads(arrays, z, y, model.levels)
+
+        def loss_fn():
+            return _loss_and_grads(arrays, z, y, model.levels, want_grads=False)[0]
+
+        expected = reference_max_relative_gradient_error(arrays, loss_fn, grads, 1e-6, n_coords,
+                                                         derive_rng(2, "quantile-gradient-check"))
+        assert sum(a.size for a in arrays) == 107
+        assert expected > 0
+        assert quantile_gradient_check(model, z, y, step=1e-6, n_coords=n_coords, seed=2) == expected

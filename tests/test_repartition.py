@@ -7,13 +7,20 @@ test coverage is exactly k/(K+1), k = ceil((K+1)(1 - alpha)), when scores
 do not tie, and at least that when they do. It lies in
 [1 - alpha, 1 - alpha + 1/(K+1)]. No model is retrained, so thousands of
 draws take well under a second.
+
+Per draw, with distinct scores, the covered count X of the T test edges is
+the number of test scores below the k-th smallest of the K calibration
+scores: the failures before the k-th success when K successes and T
+failures are shuffled. X is negative hypergeometric, with
+Var X = k·T·(N+1)·(K+1−k) / ((K+1)²·(K+2)), N = K + T.
 """
 
 import math
 
 import numpy as np
+import pytest
 
-from linkconformal.conformal import conformalize, evaluate
+from linkconformal.conformal import conformalize, evaluate, nonconformity
 from linkconformal.pipeline import _trials
 from linkconformal.quantile import fit_quantile_functions
 from linkconformal.seeding import derive_rng, derive_seed
@@ -48,9 +55,21 @@ def _repartition_coverages(base, qmodel, draws: int) -> np.ndarray:
     return coverages
 
 
-def test_plain_arm_mean_coverage_is_exact_over_repartitions():
+@pytest.fixture(scope="module")
+def harness():
+    """One ``tiny_config()`` trial, its plain-arm band, and the band's coverage on each re-partition."""
     base = next(_trials(tiny_config(), None))
     qmodel = _plain_band(base)
+    return base, qmodel, _repartition_coverages(base, qmodel, DRAWS)
+
+
+def _quantile_rank(alpha: float, k_calib: int) -> int:
+    """k = ceil((K+1)(1 - alpha)): q_hat is the k-th smallest of K calibration scores."""
+    return math.ceil((k_calib + 1) * (1.0 - alpha) - 1e-9)
+
+
+def test_plain_arm_mean_coverage_is_exact_over_repartitions(harness):
+    base, qmodel, coverages = harness
     # The harness's band is the trial's: the trial's own partition gives its recorded coverage.
     z_calib, y_calib = base.embed(base.split.calib)
     z_test, y_test = base.test_embedded
@@ -58,11 +77,27 @@ def test_plain_arm_mean_coverage_is_exact_over_repartitions():
     record = base.run_arm("cqr")
     assert (evaluate(intervals, y_test).empirical_coverage, q_hat) == (record.coverage, record.q_hat)
 
-    coverages = _repartition_coverages(base, qmodel, DRAWS)
     alpha, k_calib = base.config.alpha, len(base.split.calib)
-    k = math.ceil((k_calib + 1) * (1.0 - alpha) - 1e-9)
-    exact = k / (k_calib + 1)
+    exact = _quantile_rank(alpha, k_calib) / (k_calib + 1)
     mean = coverages.mean()
     error = 4.0 * coverages.std(ddof=1) / math.sqrt(DRAWS)
     assert abs(mean - exact) <= error, (mean, exact, error)
     assert 1.0 - alpha - error <= mean <= 1.0 - alpha + 1.0 / (k_calib + 1) + error, (mean, error)
+
+
+def test_per_draw_coverage_variance_follows_the_negative_hypergeometric_law(harness):
+    base, qmodel, coverages = harness
+    split = base.split
+    z, y = base.embed(np.concatenate([split.calib, split.test]))
+    bands = qmodel.quantiles(z)
+    scores = nonconformity(bands[:, 0], bands[:, 1], y)
+    assert np.unique(scores).size == scores.size  # distinct: the law is exact, not a bound
+    k_calib, t = len(split.calib), len(split.test)
+    k = _quantile_rank(base.config.alpha, k_calib)
+    var_x = k * t * (k_calib + t + 1) * (k_calib + 1 - k) / ((k_calib + 1) ** 2 * (k_calib + 2))
+    exact = var_x / t**2
+    # The sample variance's standard error, from the sample's fourth central moment.
+    var = coverages.var(ddof=1)
+    m4 = np.mean((coverages - coverages.mean()) ** 4)
+    error = 4.0 * math.sqrt((m4 - var**2 * (DRAWS - 3) / (DRAWS - 1)) / DRAWS)
+    assert abs(var - exact) <= error, (var, exact, error)
