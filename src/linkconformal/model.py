@@ -13,14 +13,13 @@ and checkable against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import (check_training_settings, flat_views, init_weight, load_dump, max_relative_gradient_error,
-                  momentum_step, save_dump)
+from ._nn import check_training_settings, flat_views, init_weight, max_relative_gradient_error, momentum_step
 from .graph import Graph, as_edge_rows
 from .seeding import derive_rng
 
@@ -81,42 +80,6 @@ class ModelParams:
             self.scorer_w2,
             self.scorer_b2,
         ]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.encoder_weights],
-            self.scorer_w1.copy(),
-            self.scorer_b1.copy(),
-            self.scorer_w2.copy(),
-            self.scorer_b2.copy(),
-            self.config,
-        )
-
-    def save(self, path) -> None:
-        save_dump(path, "link-predictor", {
-            "config": asdict(self.config),
-            "encoder_weights": [w.tolist() for w in self.encoder_weights],
-            "scorer": {
-                "w1": self.scorer_w1.tolist(),
-                "b1": self.scorer_b1.tolist(),
-                "w2": self.scorer_w2.tolist(),
-                "b2": self.scorer_b2.tolist(),
-            },
-        })
-
-    @classmethod
-    def load(cls, path) -> "ModelParams":
-        payload = load_dump(path, "link-predictor")
-        config = ModelConfig(**payload["config"])
-        scorer = payload["scorer"]
-        return cls(
-            [np.asarray(w, dtype=np.float64) for w in payload["encoder_weights"]],
-            np.asarray(scorer["w1"], dtype=np.float64),
-            np.asarray(scorer["b1"], dtype=np.float64),
-            np.asarray(scorer["w2"], dtype=np.float64),
-            np.asarray(scorer["b2"], dtype=np.float64),
-            config,
-        )
 
 
 def normalized_adjacency(graph: Graph, aggregation: str) -> sp.csr_matrix:

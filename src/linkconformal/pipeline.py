@@ -41,7 +41,7 @@ from .graph import (
 )
 from .model import edge_embeddings, encode_nodes, structural_features, train_link_predictor
 from .powerlaw import PowerLawFit, adaptive_min_tail, fit_power_law
-from .quantile import fit_quantile_functions
+from .quantile import QuantileModel, fit_quantile_functions
 from .sampling import sample_edges
 from .seeding import derive_seed
 
@@ -59,6 +59,28 @@ class TrialRecord:
     ks_after: Optional[float] = None
     density_after: Optional[float] = None
     error: Optional[str] = None
+
+
+@dataclass(frozen=True, eq=False)
+class ArmOutcome:
+    """What one calibration arm of a trial computes; its test labels are the trial's.
+
+    The quantile band fitted on ``fit_rows``, calibrated on the ``calib``
+    rows (both (k, 3) labeled rows), and the test intervals it gives, with
+    their coverage and mean length. ``ks_after`` and ``density_after``
+    describe the graph of the sampled arm's kept positive rows; they are
+    None for the plain arm.
+    """
+
+    qmodel: QuantileModel
+    fit_rows: np.ndarray
+    calib: np.ndarray
+    q_hat: float
+    intervals: np.recarray
+    coverage: float
+    avg_length: float
+    ks_after: Optional[float]
+    density_after: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -98,18 +120,15 @@ class CliqueSweepRow:
 def load_graph(config: RunConfig) -> Graph:
     """Load the configured edge list or synthesize a power-law graph.
 
-    Synthetic graphs get their features before any clique injection, so
-    structural features describe the clean base graph and injected edges
-    stay feature-independent (mirroring random cliques added to a real
-    dataset).
+    Either graph gets its features by one rule: the feature file if one is
+    given, else structural features when ``feature_mode`` is "structural",
+    else seeded standard-normal ones. They are made before any clique
+    injection, so structural features describe the clean base graph and
+    injected edges stay feature-independent (mirroring random cliques added
+    to a real dataset).
     """
     if config.edge_list:
         graph = load_edge_list(Path(config.edge_list).read_text(encoding="utf-8"))
-        if config.feature_file:
-            features = load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
-            # The parsed matrix, like the structural one below, is fresh and
-            # held nowhere else: it is frozen in place, not copied.
-            graph = graph._with_own_features(features)
     else:
         graph = generate_powerlaw_graph(
             config.synth_nodes,
@@ -117,15 +136,22 @@ def load_graph(config: RunConfig) -> Graph:
             config.synth_d_min,
             derive_seed(config.seed, "synth-graph"),
         )
-        if config.feature_mode == "structural":
-            graph = graph._with_own_features(
-                structural_features(graph, config.feature_dim, derive_seed(config.seed, "features"))
-            )
+    seed = derive_seed(config.seed, "features")
+    # A parsed or structural matrix is fresh and held nowhere else: it is
+    # frozen in place, not copied.
+    if config.feature_file:
+        graph = graph._with_own_features(
+            load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
+        )
+    elif config.feature_mode == "structural":
+        graph = graph._with_own_features(structural_features(graph, config.feature_dim, seed))
+    else:
+        graph = ensure_features(graph, config.feature_dim, seed)
     if config.clique_n > 0:
         graph = inject_cliques(
             graph, config.clique_m, config.clique_n, derive_seed(config.seed, "inject-cliques")
         )
-    return ensure_features(graph, config.feature_dim, derive_seed(config.seed, "features"))
+    return graph
 
 
 def edge_pool(graph: Graph, config: RunConfig):
@@ -186,68 +212,65 @@ class _TrialBase:
         """Edge embeddings and float labels of (k, 3) labeled rows."""
         return edge_embeddings(self.node_embeddings, rows[:, :2]), rows[:, 2].astype(np.float64)
 
-    def run_arm(self, arm: str, lam: Optional[float] = None) -> TrialRecord:
-        """The record of arm "cqr" or "sampled" (at ``lam``, default the configured
-        lambda); an error record when its calibration degenerates."""
+    def arm(self, arm: str, lam: Optional[float] = None) -> ArmOutcome:
+        """Arm "cqr" or "sampled" (at ``lam``, default the configured lambda):
+        fit its quantile band, calibrate it and score the test edges.
+
+        Raises DegenerateCalibrationError when the sampled arm has no power-law
+        fit or no training edge left, when the calibration or test set is
+        empty, or when q_hat is infinite.
+        """
         if arm not in ("cqr", "sampled"):
             raise ValueError(f"arm must be 'cqr' or 'sampled', got {arm!r}")
         if arm == "cqr" and lam is not None:
             raise ValueError("lam applies only to the sampled arm")
-        shared = dict(arm=arm, split=self.split_idx, rep=self.rep_idx, seed=self.model_seed,
-                      ks_before=None if self.degree_fit is None else self.degree_fit.ks)
-        split = self.split
-        try:
-            if arm == "cqr":
-                fit_rows, calib, extra = np.concatenate([split.train, split.val]), split.calib, {}
-            else:
-                fit_rows, calib, extra = self._sampled_inputs(lam)
-            fields = self._calibrate(arm, fit_rows, calib)
-        except DegenerateCalibrationError as exc:
-            return TrialRecord(**shared, error=str(exc))
-        return TrialRecord(**shared, **fields, **extra)
-
-    def _sampled_inputs(self, lam: Optional[float]):
-        """Resampled fit rows and calibration rows, and the sampled graph's fields."""
-        if self.degree_fit is None:
-            raise DegenerateCalibrationError("the training subgraph admits no power-law fit")
-        sampler = self.config.sampler(lam, derive_seed(self.config.seed, self.split_idx, self.rep_idx, "sampler"))
-        train_s, val_s, calib_s = sample_edges(
-            self.split.train, self.split.val, self.split.calib, self.node_degrees, self.degree_fit, sampler
-        )
-        if not len(train_s):
-            raise DegenerateCalibrationError("sampling removed every training edge")
-        fit_rows = np.concatenate([train_s, val_s])
-        # The kept positive rows are distinct subgraph edges, so their endpoint
-        # counts are the degrees of the graph they form; no Graph is built.
-        positives = fit_rows[fit_rows[:, 2] == 1, :2]
-        num_nodes = self.subgraph.num_nodes
-        return fit_rows, calib_s, {
-            "ks_after": _fitted_ks(np.bincount(positives.ravel(), minlength=num_nodes)),
-            "density_after": _graph_density(num_nodes, len(positives)),
-        }
-
-    def _calibrate(self, arm: str, fit_rows, calib) -> dict:
-        """Fit the arm's quantile band on ``fit_rows``, calibrate it on ``calib``
-        and score the test edges; an empty calibration or test set, or an
-        infinite q_hat, raises DegenerateCalibrationError."""
-        for name, rows in (("calibration", calib), ("test", self.split.test)):
+        split, ks_after, density_after = self.split, None, None
+        if arm == "cqr":
+            fit_rows, calib = np.concatenate([split.train, split.val]), split.calib
+        else:
+            if self.degree_fit is None:
+                raise DegenerateCalibrationError("the training subgraph admits no power-law fit")
+            sampler = self.config.sampler(lam, derive_seed(self.config.seed, self.split_idx, self.rep_idx, "sampler"))
+            train, val, calib = sample_edges(
+                split.train, split.val, split.calib, self.node_degrees, self.degree_fit, sampler
+            )
+            if not len(train):
+                raise DegenerateCalibrationError("sampling removed every training edge")
+            fit_rows = np.concatenate([train, val])
+            # The kept positive rows are distinct subgraph edges, so their endpoint
+            # counts are the degrees of the graph they form; no Graph is built.
+            positives = fit_rows[fit_rows[:, 2] == 1, :2]
+            num_nodes = self.subgraph.num_nodes
+            ks_after = _fitted_ks(np.bincount(positives.ravel(), minlength=num_nodes))
+            density_after = _graph_density(num_nodes, len(positives))
+            del train, val, positives  # the quantile fit holds only the fit rows, as in the plain arm
+        for name, rows in (("calibration", calib), ("test", split.test)):
             if not len(rows):
                 raise DegenerateCalibrationError(f"the {name} set is empty: it has 0 edges")
         alpha = self.config.alpha
         seed = derive_seed(self.config.seed, self.split_idx, self.rep_idx, f"quantile-{arm}")
         qmodel = fit_quantile_functions(self.node_embeddings, fit_rows[:, 2].astype(np.float64), alpha,
                                         self.config.quantile, seed=seed, endpoints=fit_rows[:, :2])
-        z_calib, y_calib = self.embed(calib)
-        z_test, y_test = self.test_embedded
-        intervals, q_hat = conformalize(qmodel, z_calib, y_calib, z_test, alpha)
+        intervals, q_hat = conformalize(qmodel, *self.embed(calib), self.test_embedded[0], alpha)
         if q_hat == math.inf:
             raise DegenerateCalibrationError(
                 f"a calibration set of K={len(calib)} edges gives an infinite q_hat at "
                 f"alpha={alpha}: K >= (1 - alpha) / alpha = {(1.0 - alpha) / alpha:g} is needed"
             )
-        report = evaluate(intervals, y_test)
-        return dict(coverage=report.empirical_coverage, avg_length=report.avg_interval_length,
-                    q_hat=q_hat)
+        report = evaluate(intervals, self.test_embedded[1])
+        return ArmOutcome(qmodel, fit_rows, calib, q_hat, intervals, report.empirical_coverage,
+                          report.avg_interval_length, ks_after, density_after)
+
+    def run_arm(self, arm: str, lam: Optional[float] = None) -> TrialRecord:
+        """The record of ``arm(arm, lam)``; an error record when its calibration degenerates."""
+        shared = dict(arm=arm, split=self.split_idx, rep=self.rep_idx, seed=self.model_seed,
+                      ks_before=None if self.degree_fit is None else self.degree_fit.ks)
+        try:
+            outcome = self.arm(arm, lam)
+        except DegenerateCalibrationError as exc:
+            return TrialRecord(**shared, error=str(exc))
+        return TrialRecord(**shared, coverage=outcome.coverage, avg_length=outcome.avg_length,
+                           q_hat=outcome.q_hat, ks_after=outcome.ks_after, density_after=outcome.density_after)
 
 
 def _arm_summary(records: Sequence[TrialRecord]) -> Optional[dict]:

@@ -19,8 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import (check_training_settings, flat_views, init_weight, load_dump, max_relative_gradient_error,
-                  momentum_step, save_dump)
+from ._nn import check_training_settings, flat_views, init_weight, max_relative_gradient_error, momentum_step
 from .graph import _finite_rows, as_edge_rows
 from .model import _check_endpoints, _edge_product
 from .seeding import derive_rng
@@ -82,21 +81,6 @@ class QuantileModel:
         bands = self.raw(z)
         bands.sort(axis=1)
         return bands
-
-    def save(self, path) -> None:
-        save_dump(path, "quantile-regressor", {
-            "levels": list(self.levels),
-            "arrays": {name: arr.tolist() for name, arr in zip("w1 b1 w2 b2 w3 b3".split(), self.param_arrays())},
-        })
-
-    @classmethod
-    def load(cls, path) -> "QuantileModel":
-        payload = load_dump(path, "quantile-regressor")
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in payload["arrays"].items()}
-        return cls(
-            arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-            arrays["w3"], arrays["b3"], tuple(payload["levels"]),
-        )
 
 
 def pinball_loss(prediction, target, gamma: float):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import linkconformal.pipeline as pipeline_mod
-from linkconformal._nn import save_dump
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
-from linkconformal.graph import Graph, degree_sequence
-from linkconformal.model import ModelConfig
+from linkconformal.conformal import conformalize
+from linkconformal.errors import DegenerateCalibrationError
+from linkconformal.graph import Graph, degree_sequence, load_edge_list
+from linkconformal.model import ModelConfig, structural_features
 from linkconformal.pipeline import (
     TrialRecord,
     load_graph,
@@ -22,6 +23,7 @@ from linkconformal.pipeline import (
     write_report,
 )
 from linkconformal.quantile import QuantileConfig
+from linkconformal.seeding import derive_seed
 
 TINY_MODEL = ModelConfig(hidden_dim=8, num_layers=2, epochs=8, learning_rate=0.05,
                          batch_size=1024, scorer_hidden_dim=8)
@@ -147,17 +149,36 @@ class TestRunPipeline:
         assert sampled.arm == "sampled" and sampled.ks_before is None
         assert sampled.error == "the training subgraph admits no power-law fit"
         assert sampled.coverage is None and sampled.ks_after is None
+        base = next(pipeline_mod._trials(tiny_config(n_splits=1, n_reps=1), matching))
+        with pytest.raises(DegenerateCalibrationError, match=f"^{re.escape(sampled.error)}$"):
+            base.arm("sampled")
 
     @pytest.mark.parametrize("mode, lam", [("literal", 1.0), ("directional", 2.4)])
     def test_sampled_fields_equal_those_of_the_sampled_graph(self, mode, lam):
         # ks_after and density_after are taken from the endpoint counts of the
         # kept positive rows, without building the graph those rows form.
         base = next(pipeline_mod._trials(tiny_config(sampler_mode=mode), None))
-        fit_rows, _, extra = base._sampled_inputs(lam)
+        outcome = base.arm("sampled", lam)
+        fit_rows = outcome.fit_rows
         sampled = base.subgraph.with_edges(fit_rows[fit_rows[:, 2] == 1, :2])
         fit = pipeline_mod._degree_fit(degree_sequence(sampled))
-        assert fit is not None and extra["ks_after"] == fit.ks
-        assert extra["density_after"] == sampled.num_edges / (300 * 299 / 2)
+        assert fit is not None and outcome.ks_after == fit.ks
+        assert outcome.density_after == sampled.num_edges / (300 * 299 / 2)
+
+    @pytest.mark.parametrize("arm", ["cqr", "sampled"])
+    def test_arm_outcome_reproduces_its_intervals_and_record(self, arm):
+        base = next(pipeline_mod._trials(tiny_config(), None))
+        outcome = base.arm(arm)
+        intervals, q_hat = conformalize(outcome.qmodel, *base.embed(outcome.calib), base.test_embedded[0],
+                                        base.config.alpha)
+        assert q_hat == outcome.q_hat
+        assert np.array_equal(intervals.lower, outcome.intervals.lower)
+        assert np.array_equal(intervals.upper, outcome.intervals.upper)
+        assert (outcome.ks_after is None) == (arm == "cqr")
+        record = base.run_arm(arm)
+        assert record.error is None
+        assert (record.coverage, record.avg_length, record.q_hat, record.ks_after, record.density_after) == (
+            outcome.coverage, outcome.avg_length, outcome.q_hat, outcome.ks_after, outcome.density_after)
 
     def test_report_text_is_standard_json(self):
         def reject(constant):
@@ -183,6 +204,8 @@ class TestRunPipeline:
         base = next(pipeline_mod._trials(tiny_config(), None))
         with pytest.raises(ValueError):
             base.run_arm(arm, lam)
+        with pytest.raises(ValueError):
+            base.arm(arm, lam)
 
 
 class TestSweepLambda:
@@ -329,8 +352,7 @@ class TestReports:
     @pytest.mark.parametrize("write, what", [
         (lambda path: write_report({"a": 1}, path), "report"),
         (lambda path: write_csv([{"a": 1}], path), "csv"),
-        (lambda path: save_dump(path, "link-predictor", {}), "parameter dump"),
-    ], ids=["report", "csv", "dump"])
+    ], ids=["report", "csv"])
     def test_write_errors_name_what_was_written(self, tmp_path, write, what):
         path = tmp_path / "missing" / "out"
         with pytest.raises(OSError, match=f"^cannot write {what} to {re.escape(str(path))}: "):
@@ -510,3 +532,28 @@ class TestLoadGraph:
         assert np.shares_memory(g.features, parsed)
         assert not g.features.flags.writeable
         assert g.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+
+    def test_structural_features_mode_applies_to_an_edge_list(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 4\n")
+        cfg = tiny_config(edge_list=str(path), clique_n=0, feature_mode="structural")
+        g = load_graph(cfg)
+        expected = structural_features(load_edge_list(path.read_text()), 6, derive_seed(cfg.seed, "features"))
+        assert np.array_equal(g.features, expected)
+        assert not np.array_equal(g.features, load_graph(replace(cfg, feature_mode="random")).features)
+
+    def test_feature_file_applies_to_a_synthetic_graph_before_its_cliques(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_text("0 1.0 2.0\n299 3.0 4.0\n")
+        cfg = tiny_config(feature_file=str(path))
+        g = load_graph(cfg)
+        assert g.features.shape == (300, 2)
+        assert g.features[[0, 299]].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not g.features[1:299].any()
+        assert g.num_edges > load_graph(replace(cfg, clique_n=0)).num_edges
+
+    def test_feature_file_with_more_rows_than_nodes_rejected(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_text("".join(f"{i} 1.0\n" for i in range(301)))
+        with pytest.raises(ValueError, match="node id 300 out of range"):
+            load_graph(tiny_config(feature_file=str(path)))

@@ -216,17 +216,6 @@ class TestGradientCheck:
 
 
 class TestModelIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        z = rng.standard_normal((50, 3))
-        y = rng.random(50)
-        model = fit_quantile_functions(z, y, 0.1, FAST, seed=14)
-        path = tmp_path / "quantile.json"
-        model.save(path)
-        loaded = QuantileModel.load(path)
-        assert loaded.levels == model.levels
-        assert np.array_equal(loaded.quantiles(z), model.quantiles(z))
-
     def test_level_validation(self):
         with pytest.raises(ValueError):
             QuantileModel(
