@@ -16,12 +16,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import _KEY_TABLE, _parse_floats, build_run_config, parse_config_text
-from .graph import (_edge_list_text, _write_text, degree_sequence, generate_powerlaw_graph, inject_cliques,
-                    load_edge_list)
-from .pipeline import report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
+from .graph import _edge_list_text, _write_text, degree_sequence, load_edge_list
+from .pipeline import load_graph, report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
 from .powerlaw import fit_power_law
 from .sampling import AGGREGATIONS, MODES
-from .seeding import derive_seed
 
 
 def _add_common(parser):
@@ -38,10 +36,13 @@ def _add_common(parser):
     parser.add_argument("--reps", type=int, help="repetitions per split")
 
 
-def _run_config(args) -> "RunConfig":
-    file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    # A flag whose destination is a config key overrides that key.
-    return build_run_config(file_values, {key: value for key, value in vars(args).items() if key in _KEY_TABLE})
+def _run_config(args, **overrides) -> "RunConfig":
+    """The --config file's values, overridden by every flag whose destination is
+    a config key and then by ``overrides``."""
+    config_path = getattr(args, "config", None)
+    file_values = parse_config_text(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+    flags = {key: value for key, value in vars(args).items() if key in _KEY_TABLE}
+    return build_run_config(file_values, {**flags, **overrides})
 
 
 def _emit(text: str, out_path) -> int:
@@ -84,12 +85,8 @@ def _cmd_sweep_cliques(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    graph = generate_powerlaw_graph(args.nodes, args.beta, args.dmin, derive_seed(seed, "synth-graph"))
-    if args.cliques:
-        m, n = _parse_mxn(args.cliques)
-        graph = inject_cliques(graph, m, n, derive_seed(seed, "inject-cliques"))
-    return _emit(_edge_list_text(graph), args.out)
+    cliques = dict(zip(("clique_m", "clique_n"), _parse_mxn(args.cliques))) if args.cliques else {}
+    return _emit(_edge_list_text(load_graph(_run_config(args, **cliques))), args.out)
 
 
 def _cmd_fit_powerlaw(args) -> int:
@@ -120,9 +117,10 @@ def main(argv=None) -> int:
     p_clq.set_defaults(func=_cmd_sweep_cliques)
 
     p_syn = sub.add_parser("synth", help="write a synthetic power-law edge list")
-    p_syn.add_argument("--nodes", type=int, default=2000)
-    p_syn.add_argument("--beta", type=float, default=2.5)
-    p_syn.add_argument("--dmin", type=int, default=1)
+    # Overrides of the synth_* config keys; RunConfig holds their defaults.
+    p_syn.add_argument("--nodes", type=int, dest="synth_nodes", metavar="NODES")
+    p_syn.add_argument("--beta", type=float, dest="synth_beta", metavar="BETA")
+    p_syn.add_argument("--dmin", type=int, dest="synth_d_min", metavar="DMIN")
     p_syn.add_argument("--cliques", help="optional injection like 25x20")
     p_syn.add_argument("--seed", type=int)
     p_syn.add_argument("--out")

@@ -117,48 +117,42 @@ class CliqueSweepRow:
     mean_coverage: Optional[float]
 
 
-def load_graph(config: RunConfig) -> Graph:
-    """Load the configured edge list or synthesize a power-law graph.
+def load_graph(config: RunConfig, graph: Optional[Graph] = None) -> Graph:
+    """The trial graph: ``graph`` as given, else the configured edge list or a
+    synthesized power-law graph with ``clique_n`` cliques injected.
 
-    Either graph gets its features by one rule: the feature file if one is
-    given, else structural features when ``feature_mode`` is "structural",
+    A graph without features gets them by one rule: the feature file if one
+    is given, else structural features when ``feature_mode`` is "structural",
     else seeded standard-normal ones. They are made before any clique
     injection, so structural features describe the clean base graph and
     injected edges stay feature-independent (mirroring random cliques added
-    to a real dataset).
+    to a real dataset). A given graph keeps its own features and gets no
+    cliques. Raises ValueError when the features are not ``feature_dim`` wide.
     """
-    if config.edge_list:
+    given = graph is not None
+    if not given and config.edge_list:
         graph = load_edge_list(Path(config.edge_list).read_text(encoding="utf-8"))
-    else:
-        graph = generate_powerlaw_graph(
-            config.synth_nodes,
-            config.synth_beta,
-            config.synth_d_min,
-            derive_seed(config.seed, "synth-graph"),
-        )
-    seed = derive_seed(config.seed, "features")
-    # A parsed or structural matrix is fresh and held nowhere else: it is
-    # frozen in place, not copied.
-    if config.feature_file:
-        graph = graph._with_own_features(
-            load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
-        )
-    elif config.feature_mode == "structural":
-        graph = graph._with_own_features(structural_features(graph, config.feature_dim, seed))
-    else:
-        graph = ensure_features(graph, config.feature_dim, seed)
-    if config.clique_n > 0:
-        graph = inject_cliques(
-            graph, config.clique_m, config.clique_n, derive_seed(config.seed, "inject-cliques")
-        )
+    elif not given:
+        graph = generate_powerlaw_graph(config.synth_nodes, config.synth_beta, config.synth_d_min,
+                                        derive_seed(config.seed, "synth-graph"))
+    if graph.features is None:
+        seed = derive_seed(config.seed, "features")
+        # A parsed or structural matrix is fresh and held nowhere else: it is
+        # frozen in place, not copied.
+        if config.feature_file:
+            graph = graph._with_own_features(
+                load_features(Path(config.feature_file).read_text(encoding="utf-8"), graph.num_nodes)
+            )
+        elif config.feature_mode == "structural":
+            graph = graph._with_own_features(structural_features(graph, config.feature_dim, seed))
+        else:
+            graph = ensure_features(graph, config.feature_dim, seed)
+    width = graph.features.shape[1]
+    if width != config.feature_dim:
+        raise ValueError(f"the graph's features are {width} wide, but feature_dim is {config.feature_dim}")
+    if not given and config.clique_n > 0:
+        graph = inject_cliques(graph, config.clique_m, config.clique_n, derive_seed(config.seed, "inject-cliques"))
     return graph
-
-
-def edge_pool(graph: Graph, config: RunConfig):
-    """Positive edges plus an equal number of sampled non-edges (fixed once)."""
-    positives = graph.edge_array()
-    negatives = negative_sample(graph, len(positives), derive_seed(config.seed, "negatives"))
-    return positives, negatives
 
 
 def _degree_fit(node_degrees: np.ndarray) -> Optional[PowerLawFit]:
@@ -315,17 +309,12 @@ def _build_summary(trials: Sequence[TrialRecord]) -> dict:
     return summary
 
 
-def _input_graph(config: RunConfig, graph: Optional[Graph]) -> Graph:
-    """``graph`` with features attached, or the configured graph when None."""
-    if graph is None:
-        return load_graph(config)
-    return ensure_features(graph, config.feature_dim, derive_seed(config.seed, "features"))
-
-
 def _trials(config: RunConfig, graph: Optional[Graph]):
-    """One trained ``_TrialBase`` per (split, rep), all on one edge pool."""
-    graph = _input_graph(config, graph)
-    positives, negatives = edge_pool(graph, config)
+    """One trained ``_TrialBase`` per (split, rep) on ``load_graph(config, graph)``,
+    all on one edge pool: its edges plus as many sampled non-edges, drawn once."""
+    graph = load_graph(config, graph)
+    positives = graph.edge_array()
+    negatives = negative_sample(graph, len(positives), derive_seed(config.seed, "negatives"))
     for split_idx in range(config.n_splits):
         for rep_idx in range(config.n_reps):
             yield _TrialBase(graph, positives, negatives, config, split_idx, rep_idx)
@@ -404,7 +393,7 @@ def sweep_cliques(
         raise ValueError("sweep_cliques needs a non-empty grid")
     if n_variants < 1:
         raise ValueError(f"n_variants must be >= 1, got {n_variants}")
-    base_graph = _input_graph(replace(config, clique_m=0, clique_n=0), base_graph)
+    base_graph = load_graph(replace(config, clique_m=0, clique_n=0), base_graph)
     for m, n in grid:
         if n < 0 or (n > 0 and not 2 <= m <= base_graph.num_nodes):
             raise ValueError(f"grid point (m={m}, n={n}) needs n >= 0, and 2 <= m <= num_nodes when n > 0")

@@ -1,9 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from linkconformal.cli import main
+from linkconformal.pipeline import run_pipeline
+
+from test_pipeline import tiny_config
 
 
 def test_synth_then_fit_powerlaw(tmp_path, capsys):
@@ -15,6 +19,23 @@ def test_synth_then_fit_powerlaw(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"beta_hat", "d_min", "ks", "tail_size"}
     assert 2.0 < payload["beta_hat"] < 3.2
+
+
+def test_synth_writes_the_graph_the_pipeline_synthesizes(tmp_path, capsys):
+    cfg = tiny_config()
+    edges = tmp_path / "edges.txt"
+    assert main(["synth", "--nodes", str(cfg.synth_nodes), "--beta", str(cfg.synth_beta),
+                 "--dmin", str(cfg.synth_d_min), "--cliques", f"{cfg.clique_m}x{cfg.clique_n}",
+                 "--seed", str(cfg.seed), "--out", str(edges)]) == 0
+    from_file = run_pipeline(replace(cfg, edge_list=str(edges), clique_m=0, clique_n=0))
+    synthesized = run_pipeline(cfg)
+    assert from_file.trials == synthesized.trials
+    assert from_file.summary == synthesized.summary
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    usage = capsys.readouterr().out
+    for flag in ("--nodes NODES", "--beta BETA", "--dmin DMIN"):
+        assert flag in usage
 
 
 def test_run_with_config_file(tmp_path):

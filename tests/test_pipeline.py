@@ -10,7 +10,7 @@ import linkconformal.pipeline as pipeline_mod
 from linkconformal.config import RunConfig, build_run_config, config_echo, parse_config_text
 from linkconformal.conformal import conformalize
 from linkconformal.errors import DegenerateCalibrationError
-from linkconformal.graph import Graph, degree_sequence, load_edge_list
+from linkconformal.graph import Graph, degree_sequence, load_edge_list, load_features
 from linkconformal.model import ModelConfig, structural_features
 from linkconformal.pipeline import (
     TrialRecord,
@@ -545,12 +545,44 @@ class TestLoadGraph:
     def test_feature_file_applies_to_a_synthetic_graph_before_its_cliques(self, tmp_path):
         path = tmp_path / "features.txt"
         path.write_text("0 1.0 2.0\n299 3.0 4.0\n")
-        cfg = tiny_config(feature_file=str(path))
+        cfg = tiny_config(feature_file=str(path), feature_dim=2)
         g = load_graph(cfg)
         assert g.features.shape == (300, 2)
         assert g.features[[0, 299]].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert not g.features[1:299].any()
         assert g.num_edges > load_graph(replace(cfg, clique_n=0)).num_edges
+
+    def test_feature_file_of_another_width_rejected(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_text("0 1.0 2.0\n")
+        with pytest.raises(ValueError, match="features are 2 wide, but feature_dim is 6"):
+            load_graph(tiny_config(feature_file=str(path)))
+
+    def test_given_graph_used_as_given(self):
+        g = Graph(300, [(i, i + 1) for i in range(299)], np.ones((300, 6)))
+        assert load_graph(tiny_config(clique_n=3), g) is g
+
+    def test_given_graph_of_another_width_rejected_before_training(self, link_trainings):
+        g = Graph(300, [(i, i + 1) for i in range(299)], np.ones((300, 2)))
+        with pytest.raises(ValueError, match="features are 2 wide, but feature_dim is 6"):
+            run_pipeline(tiny_config(clique_n=0), graph=g)
+        assert link_trainings == []
+
+    def test_given_featureless_graph_gets_structural_features(self, link_trainings):
+        g = Graph(300, load_graph(tiny_config(clique_n=0)).edge_array())
+        cfg = tiny_config(clique_n=0, feature_mode="structural", run_sampled_arm=False)
+        run_pipeline(cfg, graph=g)
+        (subgraph, *_), = link_trainings
+        expected = structural_features(g, 6, derive_seed(cfg.seed, "features"))
+        assert np.array_equal(subgraph.features, expected)
+
+    def test_given_featureless_graph_gets_the_feature_file(self, tmp_path, link_trainings):
+        path = tmp_path / "features.txt"
+        path.write_text("0 1 2 3 4 5 6\n299 6 5 4 3 2 1\n")
+        g = Graph(300, load_graph(tiny_config(clique_n=0)).edge_array())
+        run_pipeline(tiny_config(clique_n=0, feature_file=str(path), run_sampled_arm=False), graph=g)
+        (subgraph, *_), = link_trainings
+        assert np.array_equal(subgraph.features, load_features(path.read_text(), 300))
 
     def test_feature_file_with_more_rows_than_nodes_rejected(self, tmp_path):
         path = tmp_path / "features.txt"

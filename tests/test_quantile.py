@@ -226,31 +226,16 @@ class TestModelIO:
 
 # --- exact-equality oracle for the quantile fit ------------------------------
 # The step and loop as they were before the discarded loss was dropped from
-# the gradient path, and the per-array optimizer as it was before parameters
-# became views of one flat vector, kept verbatim. The fit now must match them
-# bit for bit.
+# the gradient path, kept verbatim, and test_model's per-array optimizer as it
+# was before parameters became views of one flat vector. The fit now must
+# match them bit for bit.
 
 from linkconformal._nn import init_weight
 from linkconformal.model import edge_embeddings
 from linkconformal.quantile import _loss_and_grads
 from linkconformal.seeding import derive_rng
 
-from test_model import reference_max_relative_gradient_error
-
-
-class MomentumSGD:
-    """Plain momentum descent: v <- mu*v - lr*g; w <- w + v."""
-
-    def __init__(self, arrays, learning_rate: float, momentum: float):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.velocity = [np.zeros_like(a) for a in arrays]
-
-    def step(self, arrays, grads):
-        for a, g, v in zip(arrays, grads, self.velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            a += v
+from test_model import MomentumSGD, reference_max_relative_gradient_error
 
 
 def _pinball_slope(prediction, target, gamma):
