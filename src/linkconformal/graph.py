@@ -38,6 +38,15 @@ def as_edge_rows(edges, width: Optional[int] = None) -> np.ndarray:
     return rows
 
 
+def as_labeled_rows(edges) -> np.ndarray:
+    """``as_edge_rows(edges, 3)`` of (u, v, label) rows, once every label is 0 or 1."""
+    rows = as_edge_rows(edges, 3)
+    bad = (rows[:, 2] != 0) & (rows[:, 2] != 1)
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {rows[np.argmax(bad), 2]}")
+    return rows
+
+
 def _ordered_pairs(rows: np.ndarray) -> np.ndarray:
     """A copy of the (k, w) int64 ``rows`` whose first two columns hold each row's (min, max)."""
     out = np.empty(rows.shape, dtype=np.int64)
@@ -96,8 +105,8 @@ class Graph:
     """
 
     def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        if not isinstance(num_nodes, (int, np.integer)) or num_nodes < 1:
+            raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
         pairs = _ordered_pairs(as_edge_rows(edges, 2))
         for bad, message in (
             (pairs[:, 0] == pairs[:, 1], "self-loop at edge"),
@@ -167,11 +176,8 @@ class EdgeSplit:
     test: np.ndarray
 
     def __post_init__(self):
-        subsets = {name: _frozen(as_edge_rows(getattr(self, name), 3).copy()) for name in _SUBSET_NAMES}
+        subsets = {name: _frozen(as_labeled_rows(getattr(self, name)).copy()) for name in _SUBSET_NAMES}
         rows = np.concatenate(list(subsets.values()))
-        bad = (rows[:, 2] != 0) & (rows[:, 2] != 1)
-        if bad.any():
-            raise ValueError(f"label must be 0 or 1, got {rows[np.argmax(bad), 2]}")
         canonical = _ordered_pairs(rows)
         keys = row_keys(canonical)
         ordered = np.sort(keys)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._nn import check_training_settings, flat_views, init_weight, max_relative_gradient_error, momentum_step
-from .graph import Graph, as_edge_rows
+from .graph import Graph, as_labeled_rows
 from .seeding import derive_rng
 
 AGGREGATIONS = ("gcn-normalized", "mean-neighbor")
@@ -336,7 +336,7 @@ def _init_params(rng, feature_dim, config: ModelConfig) -> ModelParams:
 
 
 def _as_endpoint_arrays(edges):
-    rows = as_edge_rows(edges, 3)
+    rows = as_labeled_rows(edges)
     return rows[:, :2], rows[:, 2].astype(np.float64)
 
 

@@ -13,7 +13,6 @@ all fit rows is built.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -94,49 +93,32 @@ def pinball_loss(prediction, target, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-# Views of a ``_Workspace``'s buffers for a batch of m rows.
-_Batch = namedtuple("_Batch", "z y u v spare a1 m1 a2 m2 out ge slopes")
+def _workspace(rows, dim, hidden):
+    """Buffers for ``_loss_and_grads`` on up to ``rows`` rows.
 
-
-class _Workspace:
-    """Buffers for ``_loss_and_grads`` on up to ``rows`` rows, for parameters shaped like ``arrays``.
-
-    ``batches[m]`` holds views of the buffers' first m rows for each batch
-    size m in ``sizes``, made once. ``z`` and ``y`` hold a batch. A streamed
-    batch gathers its endpoints into ``u`` and ``v`` and the rows of ``v``
-    into ``spare``. ``a1`` holds the first layer's pre-activation, ReLU'd in
-    place, then d_pre1; ``m1`` is its mask > 0; ``a2`` and ``m2`` do the
-    same for the second layer. ``out`` holds the head outputs, then d_out,
-    and ``ge`` is the mask y >= out. ``slopes`` holds d loss / d prediction
-    per head for a batch of m rows: row 0 where y >= out (the kink at
-    y == out takes the gamma branch), row 1 elsewhere. ``grads`` are views
-    of the flat buffer ``grad``, laid out as the parameters.
-    One workspace per fit keeps its steps from allocating arrays of the
-    batch's size.
+    ``z`` and ``y`` hold a batch. A streamed batch gathers its endpoints
+    into ``u`` and ``v`` and the rows of ``v`` into ``spare``. ``a1`` holds
+    the first layer's pre-activation, ReLU'd in place, then d_pre1; ``m1``
+    is its mask > 0; ``a2`` and ``m2`` do the same for the second layer.
+    ``out`` holds the head outputs, then d_out, and ``ge`` is the mask
+    y >= out. One workspace per fit keeps its steps from allocating arrays
+    of the batch's size.
     """
-
-    def __init__(self, rows: int, arrays, levels, sizes):
-        dim, hidden = arrays[0].shape
-        buffers = (
-            np.empty((rows, dim)), np.empty(rows), np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
+    return (np.empty((rows, dim)), np.empty(rows), np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
             np.empty((rows, dim)), np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
             np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool), np.empty((rows, 2)),
-            np.empty((rows, 2), dtype=bool),
-        )
-        lo, hi = levels
-        slopes = np.array([[-lo, -hi], [1.0 - lo, 1.0 - hi]])
-        self.batches = {m: _Batch(*(buf[:m] for buf in buffers), slopes / m) for m in sizes}
-        self.grad, self.grads = flat_views(arrays)
+            np.empty((rows, 2), dtype=bool))
 
 
-def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
-    # Returns (loss, None) when not want_grads, else (None, gradients): the views
-    # ``work.grads`` of a ``_Workspace`` for y.size rows (fresh when not given),
-    # whose buffers the call overwrites. ``z`` and ``y`` may be its batch buffers.
+def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None, grads=None):
+    # Returns (loss, None) when not want_grads, else (None, grads): arrays shaped like
+    # ``arrays`` that the call overwrites (fresh when not given). ``work`` is a
+    # ``_workspace`` for at least y.size rows (fresh when not given), sliced only when
+    # longer: views made per step slow a fit. ``z`` and ``y`` may be its batch buffers.
     w1, b1, w2, b2, w3, b3 = arrays
     rows = y.size
-    work = work or _Workspace(rows, arrays, levels, (rows,))
-    _, _, _, _, _, a1, m1, a2, m2, out, ge, slopes = work.batches[rows]
+    work = work or _workspace(rows, *w1.shape)
+    a1, m1, a2, m2, out, ge = work[5:] if len(work[0]) == rows else [buf[:rows] for buf in work[5:]]
     np.matmul(z, w1, out=a1)
     a1 += b1
     np.greater(a1, 0, out=m1)
@@ -147,14 +129,18 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
     np.maximum(a2, 0.0, out=a2)
     np.matmul(a2, w3, out=out)
     out += b3
+    lo, hi = levels
     if not want_grads:
-        lo, hi = levels
         return float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi))), None
-    d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = work.grads
+    if grads is None:
+        _, grads = flat_views(arrays)
+    d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
+    # d loss / d prediction per head: -gamma / rows where y >= out (the kink
+    # at y == out takes the gamma branch), (1 - gamma) / rows elsewhere.
     np.greater_equal(y[:, None], out, out=ge)
     d_out = out
-    d_out[...] = slopes[1]
-    np.copyto(d_out, slopes[0], where=ge)
+    d_out[...] = (1.0 - lo) / rows, (1.0 - hi) / rows
+    np.copyto(d_out, (-lo / rows, -hi / rows), where=ge)
     # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
     np.matmul(a2.T, d_out, out=d_w3)
     np.add.reduce(d_out, axis=0, out=d_b3)
@@ -166,7 +152,7 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None):
     d_pre1 *= m1
     np.matmul(z.T, d_pre1, out=d_w1)
     np.add.reduce(d_pre1, axis=0, out=d_b1)
-    return None, work.grads
+    return None, grads
 
 
 def _check_finite(matrix: np.ndarray, name: str) -> None:
@@ -217,7 +203,7 @@ def fit_quantile_functions(
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
     rng = derive_rng(seed, "fit-quantiles")
     dim, k = z.shape[1], config.hidden_dim
-    # Weights, velocity and the workspace's gradients share one flat layout.
+    # Weights, gradients and velocity share one flat layout.
     params, arrays = flat_views([
         init_weight(rng, dim, (dim, k)),
         np.zeros(k),
@@ -226,27 +212,28 @@ def fit_quantile_functions(
         init_weight(rng, k, (k, 2)),
         np.zeros(2),
     ])
+    grad, grads = flat_views(arrays)
     velocity = np.zeros_like(params)
     batch_size = config.batch_size
-    # Every batch has batch_size rows, except a shorter last one.
-    work = _Workspace(min(batch_size, n), arrays, levels, {min(batch_size, n), n % batch_size} - {0})
+    work = _workspace(min(batch_size, n), dim, k)
     if endpoints is not None:
         u, v = np.ascontiguousarray(endpoints.T)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            rows = work.batches[batch.size]
+            step = work if batch.size == len(work[0]) else [buf[: batch.size] for buf in work]
+            rows_z, rows_y, rows_u, rows_v, spare = step[:5]
             # "wrap" skips the copy that "raise" makes; a permutation is in range.
             if endpoints is None:
-                np.take(z, batch, axis=0, out=rows.z, mode="wrap")
+                np.take(z, batch, axis=0, out=rows_z, mode="wrap")
             else:
-                np.take(u, batch, out=rows.u, mode="wrap")
-                np.take(v, batch, out=rows.v, mode="wrap")
-                _edge_product(z, rows.u, rows.v, rows.z, rows.spare)
-            np.take(y, batch, out=rows.y, mode="wrap")
-            _loss_and_grads(arrays, rows.z, rows.y, levels, work=work)
-            momentum_step(params, velocity, work.grad, config.learning_rate, config.momentum)
+                np.take(u, batch, out=rows_u, mode="wrap")
+                np.take(v, batch, out=rows_v, mode="wrap")
+                _edge_product(z, rows_u, rows_v, rows_z, spare)
+            np.take(y, batch, out=rows_y, mode="wrap")
+            _loss_and_grads(arrays, rows_z, rows_y, levels, work=step, grads=grads)
+            momentum_step(params, velocity, grad, config.learning_rate, config.momentum)
     for a in arrays:
         a.flags.writeable = False
     return QuantileModel(*arrays, levels=levels)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCalibrationError
-from .graph import as_edge_rows, row_keys
+from .graph import as_edge_rows, as_labeled_rows, row_keys
 from .powerlaw import PowerLawFit
 from .seeding import derive_rng, derive_seed, edge_uniforms
 # bench/tracing.py wraps degree_sequence and fit_power_law here; the sampler calls neither.
@@ -144,7 +144,7 @@ def sample_edges(train, val, calib, node_degrees: np.ndarray, fit: PowerLawFit, 
 
     Raises DegenerateCalibrationError when no calibration edge survives.
     """
-    parts = [as_edge_rows(subset, 3) for subset in (train, val, calib)]
+    parts = [as_labeled_rows(subset) for subset in (train, val, calib)]
     rows = np.concatenate(parts)
     draws = edge_uniforms(derive_seed(cfg.seed, "edge-draws"), rows[:, :2], rows[:, 2])
     keep = draws <= keep_probabilities(rows, node_degrees, fit, cfg)

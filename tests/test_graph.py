@@ -51,6 +51,11 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(-1, 2)}))
 
+    def test_rejects_non_integer_num_nodes(self):
+        with pytest.raises(ValueError, match=r"^num_nodes must be a positive integer, got 3\.0$"):
+            Graph(3.0, [(0, 1), (1, 2)])
+        assert Graph(np.int64(3), [(0, 1), (1, 2)]).edge_array().tolist() == [[0, 1], [1, 2]]
+
     def test_degree_sum_is_twice_edges(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -220,6 +220,16 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_link_predictor(sub, only_pos, split.val, SMALL, seed=0)
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_zero_one_rejected(self, bad):
+        sub, split = toy_setup(seed=16)
+        train = split.train.copy()
+        train[3, 2] = bad
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad}$"):
+            train_link_predictor(sub, train, split.val, SMALL, seed=0)
+        with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {bad}$"):
+            gradient_check(random_params(np.random.default_rng(17)), train, sub, step=1e-6)
+
     def test_empty_train_rejected(self):
         sub, _ = toy_setup(seed=15)
         with pytest.raises(ValueError):

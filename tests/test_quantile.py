@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import linkconformal.quantile as quantile_mod
+from linkconformal._nn import flat_views
 from linkconformal.quantile import (
     QuantileConfig,
     QuantileModel,
@@ -156,6 +157,22 @@ class TestFit:
         cfg = QuantileConfig(epochs=2, learning_rate=2e-2, batch_size=256, hidden_dim=16)
         _, peak = traced_peak(lambda: fit_quantile_functions(h, y, 0.1, cfg, seed=22, endpoints=rows))
         assert peak < len(rows) * h.shape[1] * h.itemsize
+
+    def test_step_allocates_no_batch_sized_array(self, traced_peak):
+        # A short last batch slices the fit's one workspace and writes the
+        # fit's own gradients: one step's traced peak stays below half of one
+        # (rows, hidden) float64 array.
+        rng = np.random.default_rng(25)
+        rows, dim, hidden = 3_000, 8, 32
+        shapes = ((dim, hidden), hidden, (hidden, hidden), hidden, (hidden, 2), 2)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        _, grads = flat_views(arrays)
+        work = quantile_mod._workspace(4_096, dim, hidden)
+        z, y = work[0][:rows], work[1][:rows]
+        z[...] = rng.standard_normal((rows, dim))
+        y[...] = rng.random(rows) < 0.5
+        _, peak = traced_peak(lambda: quantile_mod._loss_and_grads(arrays, z, y, (0.05, 0.95), work=work, grads=grads))
+        assert peak < rows * hidden * 8 // 2
 
     def test_validations(self):
         with pytest.raises(ValueError):

@@ -225,6 +225,16 @@ class TestSampleEdges:
         with pytest.raises(DegenerateCalibrationError):
             sample_edges(split.train, split.val, split.calib, node_deg, fit, cfg)
 
+    def test_label_outside_zero_one_rejected(self):
+        # Lambda 0 in directional mode keeps every edge, so a row labelled 2
+        # could only vanish in the class rebalance.
+        split, node_deg, fit = clique_setup(seed=10)
+        train = split.train[:40].copy()
+        train[:5, 2] = 2
+        cfg = SamplerConfig(lam=0.0, mode="directional", seed=1)
+        with pytest.raises(ValueError, match="^label must be 0 or 1, got 2$"):
+            sample_edges(train, split.val, split.calib, node_deg, fit, cfg)
+
     def test_output_subset_labels_unchanged(self):
         split, node_deg, fit = clique_setup(seed=12)
         cfg = SamplerConfig(lam=1.0, mode="literal", seed=3)
