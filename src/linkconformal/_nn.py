@@ -1,4 +1,4 @@
-"""Internal helpers shared by the trained networks: init, parameter layout, optimizer, checks."""
+"""Internal helpers shared by the trained networks: init, parameter layout, dense layers, optimizer, checks."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ _GRAD_FLOOR = 1e-6
 def check_training_settings(config) -> None:
     """The range checks that ModelConfig and QuantileConfig share."""
     for name, low in (("hidden_dim", 1), ("batch_size", 1), ("learning_rate", 0), ("epochs", 0)):
-        if getattr(config, name) < low:
-            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+        if not low <= getattr(config, name) < np.inf:
+            raise ValueError(f"{name} must be >= {low} and finite, got {getattr(config, name)}")
     if not 0.0 <= config.momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {config.momentum}")
 
@@ -37,6 +37,42 @@ def flat_views(arrays, flat=None):
         views.append(flat[start : start + a.size].reshape(a.shape))
         start += a.size
     return flat, views
+
+
+def dense_forward(weights, x, outs=None):
+    """Rows ``x`` through the dense layers ``weights`` = (w_0, b_0, w_1, b_1, ...).
+
+    Layer l writes x_l @ w_l + b_l into ``outs[l]`` (a fresh array when
+    ``outs`` is not given), and every layer but the last is ReLU'd in place.
+    Returns the last layer's output.
+    """
+    last = len(weights) // 2 - 1
+    for l in range(last + 1):
+        x = np.matmul(x, weights[2 * l], out=None if outs is None else outs[l])
+        x += weights[2 * l + 1]
+        if l < last:
+            np.maximum(x, 0.0, out=x)
+    return x
+
+
+def dense_backward(weights, x, outs, masks, d, grads):
+    """The backward pass of ``dense_forward(weights, x, outs)``, from d = d loss / d (last output).
+
+    Writes each layer's weight and bias gradients into ``grads``, laid out
+    like ``weights``. Each hidden output ``outs[l]`` is overwritten with its
+    own gradient and ``masks[l]`` with its ReLU sign. Returns d loss / d
+    (first layer's pre-activation).
+    """
+    for l in range(len(weights) // 2 - 1, -1, -1):
+        h = outs[l - 1] if l else x
+        np.matmul(h.T, d, out=grads[2 * l])
+        # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
+        np.add.reduce(d, axis=0, out=grads[2 * l + 1])
+        if l:
+            np.greater(h, 0, out=masks[l - 1])
+            d = np.matmul(d, weights[2 * l].T, out=h)
+            d *= masks[l - 1]
+    return d
 
 
 def momentum_step(params, velocity, grad, learning_rate: float, momentum: float) -> None:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import _KEY_TABLE, _parse_floats, build_run_config, parse_config_text
+from .config import _KEY_TABLE, RunConfig, _parse_floats, build_run_config, parse_config_text
 from .graph import _edge_list_text, _write_text, degree_sequence, load_edge_list
 from .pipeline import load_graph, report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
 from .powerlaw import fit_power_law
@@ -36,7 +36,7 @@ def _add_common(parser):
     parser.add_argument("--reps", type=int, help="repetitions per split")
 
 
-def _run_config(args, **overrides) -> "RunConfig":
+def _run_config(args, **overrides) -> RunConfig:
     """The --config file's values, overridden by every flag whose destination is
     a config key and then by ``overrides``."""
     config_path = getattr(args, "config", None)

@@ -47,6 +47,13 @@ def as_labeled_rows(edges) -> np.ndarray:
     return rows
 
 
+def _check_endpoints(endpoints, num_nodes, name):
+    """Raise IndexError unless every endpoint lies in [0, num_nodes)."""
+    bad = endpoints[(endpoints < 0) | (endpoints >= num_nodes)]
+    if bad.size:
+        raise IndexError(f"{name} endpoint {bad[0]} is out of range for num_nodes={num_nodes}")
+
+
 def _ordered_pairs(rows: np.ndarray) -> np.ndarray:
     """A copy of the (k, w) int64 ``rows`` whose first two columns hold each row's (min, max)."""
     out = np.empty(rows.shape, dtype=np.int64)
@@ -358,8 +365,8 @@ def _checked_ratios(ratios) -> tuple:
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 4:
         raise ValueError(f"expected 4 ratios, got {len(ratios)}")
-    if any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be non-negative, got {ratios}")
+    if not all(r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
     return ratios

@@ -19,8 +19,9 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import check_training_settings, flat_views, init_weight, max_relative_gradient_error, momentum_step
-from .graph import Graph, as_labeled_rows
+from ._nn import (check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
+                  max_relative_gradient_error, momentum_step)
+from .graph import Graph, _check_endpoints, as_labeled_rows
 from .seeding import derive_rng
 
 AGGREGATIONS = ("gcn-normalized", "mean-neighbor")
@@ -208,14 +209,6 @@ def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.nd
     return out
 
 
-def _scorer_logits(params_arrays, z, pre=None, hidden=None):
-    w1, b1, w2, b2 = params_arrays
-    pre = np.matmul(z, w1, out=pre)
-    pre += b1
-    hidden = np.maximum(pre, 0.0, out=hidden)
-    return hidden @ w2 + b2[0], pre, hidden
-
-
 def _scatter_rows(num_rows, index, values):
     """``out[i]`` = sum of the rows ``values[k]`` with ``index[k] == i``.
 
@@ -235,13 +228,14 @@ def _workspace(rows, width, hidden):
     ``scatter`` (2 rows x width) first holds the gathered endpoint rows zv
     and zu, then the scatter values d_z * zv and d_z * zu, written over them
     in place. ``z`` holds the edge embeddings, then d_z. ``hidden`` holds the
-    scorer's pre-activation, ReLU'd in place, then d_pre. ``positive`` is the
-    mask hidden > 0. One workspace per training run keeps its steps from
-    allocating arrays of the batch's size, which glibc maps and faults in
-    afresh each step whenever its dynamic mmap threshold sits below them.
+    scorer's hidden layer, then its gradient, and ``positive`` its ReLU mask
+    (``_nn.dense_backward``); ``logit`` holds the (rows, 1) output. One
+    workspace per training run keeps its steps from allocating arrays of
+    the batch's size, which glibc maps and faults in afresh each step
+    whenever its dynamic mmap threshold sits below them.
     """
     return (np.empty((2 * rows, width)), np.empty((rows, width)), np.empty((rows, hidden)),
-            np.empty((rows, hidden), dtype=bool))
+            np.empty((rows, hidden), dtype=bool), np.empty((rows, 1)))
 
 
 def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=True, forward=None, work=None,
@@ -258,8 +252,8 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     # next encoder pass.
     n_enc = len(arrays) - 4
     enc_weights = arrays[:n_enc]
-    scorer = arrays[n_enc:]
-    w1, b1, w2, b2 = scorer
+    w1, b1, w2, b2 = arrays[n_enc:]
+    scorer = (w1, b1, w2[:, None], b2)
     if forward is None:
         forward = _encoder_forward(a_hat, features, enc_weights)
     propagated, masks, h = forward
@@ -268,7 +262,7 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     rows = labels.size
     work = work or _workspace(rows, h.shape[1], w1.shape[1])
     scatter = work[0][: 2 * rows]
-    z, hidden, positive = (buf[:rows] for buf in work[1:])
+    z, hidden, positive, logit = (buf[:rows] for buf in work[1:])
     # zv fills the first half of scatter and zu the second, so that the
     # scatter values d_z * zv (for index[:rows]) and d_z * zu form in place.
     # "wrap" skips the copy that "raise" makes; callers range-check endpoints.
@@ -278,7 +272,7 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     np.take(h, index[:rows], axis=0, out=zu, mode="wrap")
     del h
     np.multiply(zu, zv, out=z)
-    logits = _scorer_logits(scorer, z, hidden, hidden)[0]
+    logits = dense_forward(scorer, z, (hidden, logit))[:, 0]
     if not want_grads:
         # BCE from logits: softplus(logit) - y * logit, numerically stable.
         return float(np.mean(np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits))) - labels * logits)), None
@@ -287,14 +281,7 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     enc_grads, (d_w1, d_b1, d_w2, d_b2) = grads[:n_enc], grads[n_enc:]
     s = 1.0 / (1.0 + np.exp(-logits))
     dlogit = (s - labels) / rows
-    # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
-    np.add.reduce(dlogit, keepdims=True, out=d_b2)
-    np.matmul(hidden.T, dlogit, out=d_w2)
-    np.greater(hidden, 0, out=positive)
-    d_pre = np.multiply(dlogit[:, None], w2, out=hidden)
-    d_pre *= positive
-    np.matmul(z.T, d_pre, out=d_w1)
-    np.add.reduce(d_pre, axis=0, out=d_b1)
+    d_pre = dense_backward(scorer, z, (hidden,), (positive,), dlogit[:, None], (d_w1, d_b1, d_w2[:, None], d_b2))
     d_z = np.matmul(d_pre, w1.T, out=z)
     zv *= d_z
     zu *= d_z
@@ -312,13 +299,6 @@ def _bce_loss_and_grads(arrays, a_hat, features, endpoints, labels, want_grads=T
     if carry is not None:
         carry.append(s0)
     return None, grads
-
-
-def _check_endpoints(endpoints, num_nodes, name):
-    """Raise IndexError unless every endpoint lies in [0, num_nodes)."""
-    bad = endpoints[(endpoints < 0) | (endpoints >= num_nodes)]
-    if bad.size:
-        raise IndexError(f"{name} endpoint {bad[0]} is out of range for num_nodes={num_nodes}")
 
 
 def _init_params(rng, feature_dim, config: ModelConfig) -> ModelParams:

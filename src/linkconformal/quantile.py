@@ -18,9 +18,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._nn import check_training_settings, flat_views, init_weight, max_relative_gradient_error, momentum_step
-from .graph import _finite_rows, as_edge_rows
-from .model import _check_endpoints, _edge_product
+from ._nn import (check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
+                  max_relative_gradient_error, momentum_step)
+from .graph import _check_endpoints, _finite_rows, as_edge_rows
+from .model import _edge_product
 from .seeding import derive_rng
 
 
@@ -64,16 +65,7 @@ class QuantileModel:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.shape[1] != self.w1.shape[0]:
             raise ValueError(f"embedding dim {z.shape[1]} does not match model dim {self.w1.shape[0]}")
-        # Each layer adds its bias and applies ReLU in place, so that a layer
-        # holds one (n, hidden) array, not three.
-        h = z
-        for w, b in ((self.w1, self.b1), (self.w2, self.b2)):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-        out = h @ self.w3
-        out += self.b3
-        return out
+        return dense_forward(self.param_arrays(), z)
 
     def quantiles(self, z: np.ndarray) -> np.ndarray:
         """(n, 2) bands with lower <= upper in every row."""
@@ -97,12 +89,11 @@ def _workspace(rows, dim, hidden):
     """Buffers for ``_loss_and_grads`` on up to ``rows`` rows.
 
     ``z`` and ``y`` hold a batch. A streamed batch gathers its endpoints
-    into ``u`` and ``v`` and the rows of ``v`` into ``spare``. ``a1`` holds
-    the first layer's pre-activation, ReLU'd in place, then d_pre1; ``m1``
-    is its mask > 0; ``a2`` and ``m2`` do the same for the second layer.
-    ``out`` holds the head outputs, then d_out, and ``ge`` is the mask
-    y >= out. One workspace per fit keeps its steps from allocating arrays
-    of the batch's size.
+    into ``u`` and ``v`` and the rows of ``v`` into ``spare``. ``a1`` and
+    ``a2`` hold the hidden layers' outputs, then their gradients, and
+    ``m1`` and ``m2`` their ReLU masks (``_nn.dense_backward``). ``out``
+    holds the head outputs, and ``ge`` is the mask y >= out. One workspace
+    per fit keeps its steps from allocating arrays of the batch's size.
     """
     return (np.empty((rows, dim)), np.empty(rows), np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
             np.empty((rows, dim)), np.empty((rows, hidden)), np.empty((rows, hidden), dtype=bool),
@@ -115,43 +106,20 @@ def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None, grads=None
     # ``arrays`` that the call overwrites (fresh when not given). ``work`` is a
     # ``_workspace`` for at least y.size rows (fresh when not given), sliced only when
     # longer: views made per step slow a fit. ``z`` and ``y`` may be its batch buffers.
-    w1, b1, w2, b2, w3, b3 = arrays
     rows = y.size
-    work = work or _workspace(rows, *w1.shape)
+    work = work or _workspace(rows, *arrays[0].shape)
     a1, m1, a2, m2, out, ge = work[5:] if len(work[0]) == rows else [buf[:rows] for buf in work[5:]]
-    np.matmul(z, w1, out=a1)
-    a1 += b1
-    np.greater(a1, 0, out=m1)
-    np.maximum(a1, 0.0, out=a1)
-    np.matmul(a1, w2, out=a2)
-    a2 += b2
-    np.greater(a2, 0, out=m2)
-    np.maximum(a2, 0.0, out=a2)
-    np.matmul(a2, w3, out=out)
-    out += b3
+    dense_forward(arrays, z, (a1, a2, out))
     lo, hi = levels
     if not want_grads:
         return float(np.mean(pinball_loss(out[:, 0], y, lo) + pinball_loss(out[:, 1], y, hi))), None
     if grads is None:
         _, grads = flat_views(arrays)
-    d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
     # d loss / d prediction per head: -gamma / rows where y >= out (the kink
     # at y == out takes the gamma branch), (1 - gamma) / rows elsewhere.
     np.greater_equal(y[:, None], out, out=ge)
-    d_out = out
-    d_out[...] = (1.0 - lo) / rows, (1.0 - hi) / rows
-    np.copyto(d_out, (-lo / rows, -hi / rows), where=ge)
-    # np.add.reduce is the ufunc that np.sum calls, without its Python-level dispatch.
-    np.matmul(a2.T, d_out, out=d_w3)
-    np.add.reduce(d_out, axis=0, out=d_b3)
-    d_pre2 = np.matmul(d_out, w3.T, out=a2)
-    d_pre2 *= m2
-    np.matmul(a1.T, d_pre2, out=d_w2)
-    np.add.reduce(d_pre2, axis=0, out=d_b2)
-    d_pre1 = np.matmul(d_pre2, w2.T, out=a1)
-    d_pre1 *= m1
-    np.matmul(z.T, d_pre1, out=d_w1)
-    np.add.reduce(d_pre1, axis=0, out=d_b1)
+    d_out = np.where(ge, (-lo / rows, -hi / rows), ((1.0 - lo) / rows, (1.0 - hi) / rows))
+    dense_backward(arrays, z, (a1, a2), (m1, m2), d_out, grads)
     return None, grads
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCalibrationError
-from .graph import as_edge_rows, as_labeled_rows, row_keys
+from .graph import _check_endpoints, as_edge_rows, as_labeled_rows, row_keys
 from .powerlaw import PowerLawFit
 from .seeding import derive_rng, derive_seed, edge_uniforms
 # bench/tracing.py wraps degree_sequence and fit_power_law here; the sampler calls neither.
@@ -100,9 +100,12 @@ def keep_probabilities(edges, node_degrees, fit: PowerLawFit, cfg: SamplerConfig
     Pareto(x_m = fitted d_min, shape = fitted beta). In directional mode
     the graph's degrees are conditioned on the fitted tail so both CDFs
     share the support [d_min, inf); a fit whose d_min exceeds every degree
-    raises ValueError.
+    raises ValueError, and an endpoint outside [0, len(node_degrees))
+    raises IndexError.
     """
     node_degrees = np.asarray(node_degrees)
+    ends = as_edge_rows(edges)[:, :2]
+    _check_endpoints(ends, len(node_degrees), "edge")
     degrees = node_degrees[node_degrees > 0]
     ideal = pareto_sequence(
         float(fit.d_min), fit.beta_hat, degrees.size, derive_seed(cfg.seed, "ideal-sequence")
@@ -112,7 +115,6 @@ def keep_probabilities(edges, node_degrees, fit: PowerLawFit, cfg: SamplerConfig
         if degrees.size == 0:
             raise ValueError(f"no node degree reaches the fitted d_min={fit.d_min}")
     gap = _cdf(degrees, node_degrees) - _cdf(ideal, node_degrees)  # per node
-    ends = as_edge_rows(edges)
     return _keep_rule(gap[ends[:, 0]], gap[ends[:, 1]], cfg)
 
 

@@ -8,7 +8,6 @@ from linkconformal.model import (
     ModelConfig,
     ModelParams,
     _EMBED_BLOCK_ROWS,
-    _scorer_logits,
     _workspace,
     edge_embeddings,
     encode_nodes,
@@ -147,6 +146,17 @@ class TestEdgeEmbedding:
         rng = np.random.default_rng(5)
         z = edge_embeddings(rng.standard_normal((2, 8)), [[0, 1], [1, 0]])
         assert np.array_equal(z[0], z[1])
+
+
+# The scorer's forward pass as it was before the scorer ran through the
+# shared dense stack, kept verbatim: the oracles below do not call the code
+# they check.
+def _scorer_logits(params_arrays, z, pre=None, hidden=None):
+    w1, b1, w2, b2 = params_arrays
+    pre = np.matmul(z, w1, out=pre)
+    pre += b1
+    hidden = np.maximum(pre, 0.0, out=hidden)
+    return hidden @ w2 + b2[0], pre, hidden
 
 
 def edge_scores(params, z):
@@ -295,7 +305,7 @@ def test_mean_neighbor_variant_trains():
 # kernels now must match them bit for bit.
 
 from linkconformal._nn import _GRAD_FLOOR
-from linkconformal.model import _as_endpoint_arrays, _bce_loss_and_grads, _init_params, _scorer_logits
+from linkconformal.model import _as_endpoint_arrays, _bce_loss_and_grads, _init_params
 from linkconformal.seeding import derive_rng
 
 

@@ -392,6 +392,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^config key '{key}': {message}"):
             build_run_config({key: text})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        # NaN passes a test of "< 0"; both values once built configs that
+        # failed only inside training.
+        for config in (ModelConfig, QuantileConfig):
+            with pytest.raises(ValueError, match="^learning_rate must be >= 0 and finite"):
+                config(learning_rate=value)
+        for key in ("model_learning_rate", "quantile_learning_rate"):
+            with pytest.raises(ValueError, match="learning_rate must be >= 0 and finite"):
+                build_run_config(parse_config_text(f"{key} = {value}\n"))
+
+    @pytest.mark.parametrize("text", ["nan,0.1,0.2,0.2", "0.5,0.1,0.2,nan"])
+    def test_nan_ratio_rejected(self, text):
+        # Each comparison with NaN is False, so NaN once passed both ratio checks.
+        with pytest.raises(ValueError, match="^ratios must be non-negative numbers"):
+            build_run_config({"ratios": text})
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("alpha 0.2\n")

@@ -392,3 +392,28 @@ class TestFitMatchesOracle:
         assert sum(a.size for a in arrays) == 107
         assert expected > 0
         assert quantile_gradient_check(model, z, y, step=1e-6, n_coords=n_coords, seed=2) == expected
+
+
+def reference_raw(model, z):
+    # QuantileModel.raw's per-layer loop as it was before the quantile net ran
+    # through the shared dense stack, kept verbatim.
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    h = z
+    for w, b in ((model.w1, model.b1), (model.w2, model.b2)):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    out = h @ model.w3
+    out += model.b3
+    return out
+
+
+class TestRawMatchesOracle:
+    # One row is given 1-D, as a single edge embedding.
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_raw_matches_the_per_layer_loop(self, rows):
+        rng = np.random.default_rng(31)
+        model = fit_quantile_functions(rng.standard_normal((300, 6)), rng.random(300), 0.1, FAST, seed=32)
+        z = rng.standard_normal((rows, 6))
+        z = z[0] if rows == 1 else z
+        assert model.raw(z).tobytes() == reference_raw(model, z).tobytes()

@@ -190,6 +190,13 @@ class TestKeepProbability:
         with pytest.raises(ValueError, match="d_min=10"):
             keep_probabilities([(1, 2)], np.arange(10), fit, SamplerConfig(mode="directional"))
 
+    @pytest.mark.parametrize("edge, bad", [((-1, 2), -1), ((2, 10, 1), 10)])
+    def test_endpoint_out_of_range_rejected(self, edge, bad):
+        # Node id -1 would read node n - 1's gap without a word.
+        fit = PowerLawFit(beta_hat=2.5, d_min=1, ks=0.1, tail_size=9)
+        with pytest.raises(IndexError, match=f"^edge endpoint {bad} is out of range for num_nodes=10$"):
+            keep_probabilities([edge], np.arange(10), fit, SamplerConfig(mode="literal"))
+
 
 def degree_fit(sub):
     """The training subgraph's node degrees and their fit, as a trial makes them."""
@@ -233,6 +240,15 @@ class TestSampleEdges:
         train[:5, 2] = 2
         cfg = SamplerConfig(lam=0.0, mode="directional", seed=1)
         with pytest.raises(ValueError, match="^label must be 0 or 1, got 2$"):
+            sample_edges(train, split.val, split.calib, node_deg, fit, cfg)
+
+    def test_endpoint_out_of_range_rejected(self):
+        # Lambda 0 in directional mode keeps every edge, so a row (-1, 2, 1)
+        # would come back unchanged.
+        split, node_deg, fit = clique_setup(seed=10)
+        train = np.concatenate([[(-1, 2, 1)], split.train])
+        cfg = SamplerConfig(lam=0.0, mode="directional", seed=1)
+        with pytest.raises(IndexError, match="^edge endpoint -1 is out of range"):
             sample_edges(train, split.val, split.calib, node_deg, fit, cfg)
 
     def test_output_subset_labels_unchanged(self):
