@@ -9,8 +9,17 @@ import numpy as np
 _GRAD_FLOOR = 1e-6
 
 
+def check_counts(config, names) -> None:
+    """Raise ValueError naming the first field in ``names`` that is not an int or NumPy integer (nor a bool)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_training_settings(config) -> None:
-    """The range checks that ModelConfig and QuantileConfig share."""
+    """The type and range checks that ModelConfig and QuantileConfig share."""
+    check_counts(config, ("hidden_dim", "batch_size", "epochs"))
     for name, low in (("hidden_dim", 1), ("batch_size", 1), ("learning_rate", 0), ("epochs", 0)):
         if not low <= getattr(config, name) < np.inf:
             raise ValueError(f"{name} must be >= {low} and finite, got {getattr(config, name)}")

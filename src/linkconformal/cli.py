@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .config import _KEY_TABLE, RunConfig, _parse_floats, build_run_config, parse_config_text
 from .graph import _edge_list_text, _write_text, degree_sequence, load_edge_list
-from .pipeline import load_graph, report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
-from .powerlaw import fit_power_law
+from .pipeline import _degree_fit, load_graph, report_text, run_pipeline, sweep_cliques, sweep_lambda, write_csv
 from .sampling import AGGREGATIONS, MODES
 
 
@@ -91,7 +90,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fit_powerlaw(args) -> int:
     graph = load_edge_list(Path(args.edge_list).read_text(encoding="utf-8"))
-    fit = fit_power_law(degree_sequence(graph, drop_isolated=True))
+    fit = _degree_fit(degree_sequence(graph))
+    if fit is None:
+        raise ValueError("the graph admits no power-law fit: it has fewer than 2 distinct positive degrees")
     return _emit(report_text(asdict(fit)), args.out)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
+from ._nn import check_counts
 from .graph import _checked_ratios, _content_lines
 from .model import ModelConfig
 from .quantile import QuantileConfig
@@ -40,6 +41,7 @@ class RunConfig:
     quantile: QuantileConfig = field(default_factory=QuantileConfig)
 
     def __post_init__(self):
+        check_counts(self, ("n_splits", "n_reps", "feature_dim", "clique_m", "clique_n", "synth_nodes", "synth_d_min"))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         train, _, calib, test = _checked_ratios(self.ratios)
@@ -108,8 +110,8 @@ _KEY_TABLE = _key_table()
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a raw string dict."""
-    values = {}
+    """Parse ``key = value`` lines into a raw string dict; a key given twice is an error."""
+    values, first_line = {}, {}
     for line_number, line in _content_lines(text):
         if "=" not in line:
             raise ValueError(f"config line {line_number}: expected 'key = value', got {line!r}")
@@ -117,6 +119,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _KEY_TABLE:
             raise ValueError(f"config line {line_number}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"config line {line_number}: key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = line_number
         values[key] = value.strip()
     return values
 

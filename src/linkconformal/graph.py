@@ -10,7 +10,7 @@ edge subsets are read-only (k, 3) int64 arrays of (u, v, label) rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -166,9 +166,6 @@ class Graph:
         return graph
 
 
-_SUBSET_NAMES = ("train", "val", "calib", "test")
-
-
 @dataclass(frozen=True)
 class EdgeSplit:
     """Labeled edges partitioned into train/val/calib/test subsets.
@@ -183,7 +180,7 @@ class EdgeSplit:
     test: np.ndarray
 
     def __post_init__(self):
-        subsets = {name: _frozen(as_labeled_rows(getattr(self, name)).copy()) for name in _SUBSET_NAMES}
+        subsets = {f.name: _frozen(as_labeled_rows(getattr(self, f.name)).copy()) for f in fields(self)}
         rows = np.concatenate(list(subsets.values()))
         canonical = _ordered_pairs(rows)
         keys = row_keys(canonical)
@@ -201,10 +198,6 @@ class EdgeSplit:
                 )
             object.__setattr__(self, name, subset)
 
-    @property
-    def subsets(self):
-        return {name: getattr(self, name) for name in _SUBSET_NAMES}
-
 
 def _content_lines(text: str):
     """(line number, stripped line) for each line that is neither blank nor a '#' comment."""
@@ -214,12 +207,12 @@ def _content_lines(text: str):
             yield line_number, line
 
 
-def load_edge_list(text: str, num_nodes_hint: Optional[int] = None) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
     One edge per line as two whitespace-separated integer node ids; lines
-    starting with '#' are comments. num_nodes is the largest of the hint,
-    N from a first line ``# nodes N``, and max index + 1. Reversed
+    starting with '#' are comments. num_nodes is the larger of N from a
+    first line ``# nodes N`` and max index + 1. Reversed
     duplicates collapse to one undirected edge, with a warning when some
     pair is listed in both directions.
     """
@@ -240,9 +233,9 @@ def load_edge_list(text: str, num_nodes_hint: Optional[int] = None) -> Graph:
     pairs = as_edge_rows(rows, 2)
     header = text.partition("\n")[0].split()  # "# nodes N", as _edge_list_text writes it
     floor = int(header[2]) if header[:2] == ["#", "nodes"] and len(header) == 3 and header[2].isdecimal() else 0
-    num_nodes = max(int(pairs.max(initial=-1)) + 1, floor, num_nodes_hint or 0)
+    num_nodes = max(int(pairs.max(initial=-1)) + 1, floor)
     if num_nodes < 1:
-        raise ValueError("empty edge list and no num_nodes_hint given")
+        raise ValueError("empty edge list and no '# nodes N' header given")
     # Self-loops are rejected above, so a row whose reverse is also a row
     # is a pair listed in both directions.
     if np.isin(pairs[:, 0] * num_nodes + pairs[:, 1], pairs[:, 1] * num_nodes + pairs[:, 0]).any():
@@ -260,9 +253,10 @@ def _edge_list_text(graph: Graph) -> str:
 def load_features(text: str, num_nodes: int) -> np.ndarray:
     """Parse a feature table: node id followed by d reals per line.
 
-    Nodes absent from the file get all-zero rows.
+    Nodes absent from the file get all-zero rows. A node listed twice
+    raises EdgeListParseError at its second line, naming the first.
     """
-    out = None
+    out, first_line = None, {}
     for line_number, line in _content_lines(text):
         tokens = line.split()
         try:
@@ -274,6 +268,9 @@ def load_features(text: str, num_nodes: int) -> np.ndarray:
             raise EdgeListParseError(line_number, "feature row has no values")
         if node < 0 or node >= num_nodes:
             raise ValueError(f"line {line_number}: node id {node} out of range")
+        if node in first_line:
+            raise EdgeListParseError(line_number, f"node {node} already has features on line {first_line[node]}")
+        first_line[node] = line_number
         if out is None:
             out = np.zeros((num_nodes, len(values)))
         elif len(values) != out.shape[1]:

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import (check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
+from ._nn import (check_counts, check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
                   max_relative_gradient_error, momentum_step)
 from .graph import Graph, _check_endpoints, as_labeled_rows
 from .seeding import derive_rng
@@ -41,6 +41,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+        check_counts(self, ("num_layers",) if self.scorer_hidden_dim is None else ("num_layers", "scorer_hidden_dim"))
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         check_training_settings(self)
@@ -178,11 +179,6 @@ def encode_nodes(params: ModelParams, graph: Graph) -> np.ndarray:
     return _encoder_forward(a_hat, graph.features, params.encoder_weights)[2]
 
 
-# Rows per block of ``edge_embeddings``: its temporaries are one block's
-# size, not the output's.
-_EMBED_BLOCK_ROWS = 8192
-
-
 def _edge_product(node_embeddings, u, v, out, spare):
     """``out`` = node_embeddings[u] * node_embeddings[v] row by row, with ``spare``
     a buffer of out's shape; the callers range-check u and v, so that the
@@ -198,15 +194,9 @@ def edge_embeddings(node_embeddings: np.ndarray, endpoints: np.ndarray) -> np.nd
     An endpoint outside [0, len(node_embeddings)) raises IndexError.
     """
     endpoints = np.asarray(endpoints, dtype=np.int64)
-    node_embeddings = np.ascontiguousarray(node_embeddings)  # np.take copies a strided source per call
     _check_endpoints(endpoints, len(node_embeddings), "edge")
     out = np.empty((len(endpoints), node_embeddings.shape[1]), dtype=node_embeddings.dtype)
-    spare = np.empty((min(len(endpoints), _EMBED_BLOCK_ROWS), node_embeddings.shape[1]), dtype=out.dtype)
-    for start in range(0, len(endpoints), _EMBED_BLOCK_ROWS):
-        rows = endpoints[start : start + _EMBED_BLOCK_ROWS]
-        _edge_product(node_embeddings, rows[:, 0], rows[:, 1], out[start : start + _EMBED_BLOCK_ROWS],
-                      spare[: len(rows)])
-    return out
+    return _edge_product(node_embeddings, endpoints[:, 0], endpoints[:, 1], out, np.empty_like(out))
 
 
 def _scatter_rows(num_rows, index, values):

@@ -179,7 +179,7 @@ def _graph_density(num_nodes: int, num_edges: int) -> float:
 
 
 class _TrialBase:
-    """Shared per-trial state: split, subgraph, degree fit, trained model, embeddings.
+    """Shared per-trial state: split, subgraph, degree fit, and the trained model's embeddings.
 
     The degree fit and the test embeddings are made once; every arm reads them.
     """
@@ -196,10 +196,8 @@ class _TrialBase:
         self.subgraph = training_subgraph(graph, split)
         self.node_degrees = degree_sequence(self.subgraph)
         self.degree_fit = _degree_fit(self.node_degrees)
-        self.params = train_link_predictor(
-            self.subgraph, split.train, split.val, config.model, seed=self.model_seed
-        )
-        self.node_embeddings = encode_nodes(self.params, self.subgraph)
+        params = train_link_predictor(self.subgraph, split.train, split.val, config.model, seed=self.model_seed)
+        self.node_embeddings = encode_nodes(params, self.subgraph)
         self.test_embedded = self.embed(split.test)
 
     def embed(self, rows):

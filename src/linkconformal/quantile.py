@@ -103,12 +103,10 @@ def _workspace(rows, dim, hidden):
 
 def _loss_and_grads(arrays, z, y, levels, want_grads=True, work=None, grads=None):
     # Returns (loss, None) when not want_grads, else (None, grads): arrays shaped like
-    # ``arrays`` that the call overwrites (fresh when not given). ``work`` is a
-    # ``_workspace`` for at least y.size rows (fresh when not given), sliced only when
-    # longer: views made per step slow a fit. ``z`` and ``y`` may be its batch buffers.
+    # ``arrays`` that the call overwrites (fresh when not given). ``work`` is a ``_workspace``
+    # for exactly y.size rows (fresh when not given); ``z`` and ``y`` may be its batch buffers.
     rows = y.size
-    work = work or _workspace(rows, *arrays[0].shape)
-    a1, m1, a2, m2, out, ge = work[5:] if len(work[0]) == rows else [buf[:rows] for buf in work[5:]]
+    a1, m1, a2, m2, out, ge = (work or _workspace(rows, *arrays[0].shape))[5:]
     dense_forward(arrays, z, (a1, a2, out))
     lo, hi = levels
     if not want_grads:
@@ -190,6 +188,7 @@ def fit_quantile_functions(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
+            # Only a short last batch slices the buffers: views made per step slow a fit.
             step = work if batch.size == len(work[0]) else [buf[: batch.size] for buf in work]
             rows_z, rows_y, rows_u, rows_v, spare = step[:5]
             # "wrap" skips the copy that "raise" makes; a permutation is in range.

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from linkconformal.cli import main
-from linkconformal.pipeline import run_pipeline
+from linkconformal.graph import degree_sequence, load_edge_list
+from linkconformal.pipeline import _degree_fit, run_pipeline
 
 from test_pipeline import tiny_config
 
@@ -19,6 +20,27 @@ def test_synth_then_fit_powerlaw(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"beta_hat", "d_min", "ks", "tail_size"}
     assert 2.0 < payload["beta_hat"] < 3.2
+
+
+def test_fit_powerlaw_fits_with_the_pipeline_tail_floor(tmp_path, capsys):
+    # With a fixed tail floor of 10 the threshold search climbs into the 25-node
+    # cliques (d_min 28, a 17-node tail); the pipeline's floor keeps the bulk.
+    edges = tmp_path / "edges.txt"
+    assert main(["synth", "--nodes", "2000", "--beta", "2.5", "--dmin", "1", "--cliques", "25x5",
+                 "--seed", "3", "--out", str(edges)]) == 0
+    assert main(["fit-powerlaw", "--edge-list", str(edges)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    fit = _degree_fit(degree_sequence(load_edge_list(edges.read_text(encoding="utf-8"))))
+    assert payload == {"beta_hat": fit.beta_hat, "d_min": fit.d_min, "ks": fit.ks, "tail_size": fit.tail_size}
+    assert (payload["d_min"], payload["tail_size"]) == (2, 607)
+
+
+@pytest.mark.parametrize("text", ["# nodes 5\n", "0 1\n2 3\n"], ids=["edgeless", "one-degree"])
+def test_fit_powerlaw_without_a_fit_is_one_error_line(tmp_path, capsys, text):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    _fails_with(capsys, ["fit-powerlaw", "--edge-list", str(edges)],
+                "the graph admits no power-law fit: it has fewer than 2 distinct positive degrees")
 
 
 def test_synth_writes_the_graph_the_pipeline_synthesizes(tmp_path, capsys):

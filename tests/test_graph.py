@@ -132,7 +132,7 @@ class TestLoadEdgeList:
         again = load_edge_list(_edge_list_text(g))
         assert again.num_nodes == g.num_nodes == 50
         assert np.array_equal(again.edge_array(), g.edge_array())
-        assert load_edge_list("# nodes 5\n0 1\n", num_nodes_hint=7).num_nodes == 7
+        assert load_edge_list("# nodes 2\n0 4\n").num_nodes == 5  # a floor, not a cap
         assert load_edge_list("# nodes 5\n").num_nodes == 5
         assert load_edge_list("0 1\n# nodes 5\n").num_nodes == 2  # only a first-line header counts
 
@@ -150,13 +150,13 @@ class TestLoadEdgeList:
             load_edge_list("0 -1")
 
     def test_comments_and_hint(self):
-        g = load_edge_list("# header\n0 1\n", num_nodes_hint=10)
+        g = load_edge_list("# nodes 10\n# header\n0 1\n")
         assert g.num_nodes == 10
 
     def test_empty_needs_hint(self):
         with pytest.raises(ValueError):
             load_edge_list("# nothing\n")
-        assert load_edge_list("", num_nodes_hint=4).num_nodes == 4
+        assert load_edge_list("# nodes 4\n# nothing\n").num_nodes == 4
 
 
 class TestLoadFeatures:
@@ -169,6 +169,11 @@ class TestLoadFeatures:
     def test_dim_mismatch(self):
         with pytest.raises(EdgeListParseError):
             load_features("0 1.0\n1 1.0 2.0\n", num_nodes=2)
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(EdgeListParseError, match="^line 3: node 0 already has features on line 1$") as err:
+            load_features("0 1 2\n# node 0 again\n0 3 4\n", num_nodes=2)
+        assert err.value.line_number == 3
 
     def test_non_finite_values_rejected_when_attached(self):
         feats = load_features("0 nan 1\n1 2 inf\n", num_nodes=2)
@@ -320,7 +325,7 @@ class TestSplitEdges:
         pos = [(0, i + 1) for i in range(12)]
         neg = [(1, i + 2) for i in range(12)]
         split = split_edges(pos, neg, (0.4, 0.2, 0.2, 0.2), seed=2)
-        got = sorted(map(tuple, np.concatenate(list(split.subsets.values())).tolist()))
+        got = sorted(map(tuple, np.concatenate([split.train, split.val, split.calib, split.test]).tolist()))
         want = sorted([(u, v, 1) for u, v in pos] + [(u, v, 0) for u, v in neg])
         assert got == want
 

@@ -5,8 +5,10 @@ of its set-up time, and SciPy's special-function, dense linear-algebra and
 statistics modules would each add to both. The package needs only
 ``scipy.sparse``.
 
-No linter runs on the package, so an unused-import scan stands in for one:
-a helper deleted from its last caller leaves no stale import behind.
+No linter runs on the package, so two scans stand in for one: an
+unused-import scan, so that a helper deleted from its last caller leaves no
+stale import behind, and an unread-private-name scan, so that a caller
+deleted last leaves no dead helper behind.
 """
 
 import ast
@@ -54,3 +56,37 @@ def unused_imports(path):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def _private_definitions(tree):
+    """Module-level private names (functions, classes, constants) that ``tree`` defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unread_private_names(package):
+    """(module, name) for each module-level private name of ``package`` that no module of it reads.
+
+    A read is a name loaded anywhere in the package, or an attribute of that
+    name; a name only imported or only stored does not count, nor does a
+    read by the tests or the bench.
+    """
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, tree in trees.items() for name in _private_definitions(tree) - read)
+
+
+def test_every_private_name_is_read_by_the_package():
+    assert unread_private_names(PACKAGE) == []

@@ -409,9 +409,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="^ratios must be non-negative numbers"):
             build_run_config({"ratios": text})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["fraction", "whole-float", "bool"])
+    @pytest.mark.parametrize("section, name", [
+        *(("model", name) for name in ("hidden_dim", "batch_size", "epochs", "num_layers", "scorer_hidden_dim")),
+        *(("quantile", name) for name in ("hidden_dim", "batch_size", "epochs")),
+        *((None, name) for name in ("n_splits", "n_reps", "feature_dim", "clique_m", "clique_n", "synth_nodes",
+                                    "synth_d_min")),
+    ])
+    def test_count_setting_must_be_an_integer(self, section, name, value):
+        # A whole float or a bool passes every range check, and a fraction fails
+        # only where the count is first used, after the graph is built.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            if section is None:
+                RunConfig(**{name: value})
+            else:
+                RunConfig(**{section: {"model": ModelConfig, "quantile": QuantileConfig}[section](**{name: value})})
+
+    def test_count_settings_take_numpy_integers(self):
+        cfg = RunConfig(n_splits=np.int64(2), model=ModelConfig(epochs=np.int32(3)),
+                        quantile=QuantileConfig(batch_size=np.int64(16)))
+        assert (cfg.n_splits, cfg.model.epochs, cfg.quantile.batch_size) == (2, 3, 16)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("alpha 0.2\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="^config line 4: key 'alpha' is already set on line 1$"):
+            parse_config_text("alpha = 0.2\nseed = 3\n\nalpha = 0.3\n")
 
     def test_echo_is_flat_and_stable(self):
         cfg = tiny_config()

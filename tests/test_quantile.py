@@ -167,8 +167,8 @@ class TestFit:
         shapes = ((dim, hidden), hidden, (hidden, hidden), hidden, (hidden, 2), 2)
         arrays = [rng.standard_normal(shape) for shape in shapes]
         _, grads = flat_views(arrays)
-        work = quantile_mod._workspace(4_096, dim, hidden)
-        z, y = work[0][:rows], work[1][:rows]
+        work = [buf[:rows] for buf in quantile_mod._workspace(4_096, dim, hidden)]
+        z, y = work[0], work[1]
         z[...] = rng.standard_normal((rows, dim))
         y[...] = rng.random(rows) < 0.5
         _, peak = traced_peak(lambda: quantile_mod._loss_and_grads(arrays, z, y, (0.05, 0.95), work=work, grads=grads))
