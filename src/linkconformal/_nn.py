@@ -4,25 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
+
 # Gradients smaller than this are treated as zero-scale in relative-error
 # comparisons, so degenerate (flat) points do not inflate the check.
 _GRAD_FLOOR = 1e-6
 
 
-def check_counts(config, names) -> None:
-    """Raise ValueError naming the first field in ``names`` that is not an int or NumPy integer (nor a bool)."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def check_training_settings(config) -> None:
     """The type and range checks that ModelConfig and QuantileConfig share."""
-    check_counts(config, ("hidden_dim", "batch_size", "epochs"))
-    for name, low in (("hidden_dim", 1), ("batch_size", 1), ("learning_rate", 0), ("epochs", 0)):
-        if not low <= getattr(config, name) < np.inf:
-            raise ValueError(f"{name} must be >= {low} and finite, got {getattr(config, name)}")
+    for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0)):
+        check_int(getattr(config, name), name, low)
+    if not 0 <= config.learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be >= 0 and finite, got {config.learning_rate}")
     if not 0.0 <= config.momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {config.momentum}")
 
@@ -99,8 +93,9 @@ def max_relative_gradient_error(arrays, loss_and_grads, step: float, n_coords: i
     up to ``n_coords`` randomly chosen coordinates one at a time and returns
     the largest |g_analytic - g_numeric| / max(|g_analytic|, |g_numeric|, floor).
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    check_int(n_coords, "n_coords", 1)
     flat, arrays = flat_views(arrays)
     analytic = np.concatenate([np.ravel(g) for g in loss_and_grads(arrays, True)[1]])
     worst = 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
-from ._nn import check_counts
+from .errors import check_int
 from .graph import _checked_ratios, _content_lines
 from .model import ModelConfig
 from .quantile import QuantileConfig
@@ -41,18 +41,14 @@ class RunConfig:
     quantile: QuantileConfig = field(default_factory=QuantileConfig)
 
     def __post_init__(self):
-        check_counts(self, ("n_splits", "n_reps", "feature_dim", "clique_m", "clique_n", "synth_nodes", "synth_d_min"))
+        for name, low in (("seed", 0), ("n_splits", 1), ("n_reps", 1), ("feature_dim", 1), ("clique_m", 0),
+                          ("clique_n", 0), ("synth_nodes", 10), ("synth_d_min", 1)):
+            check_int(getattr(self, name), name, low)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         train, _, calib, test = _checked_ratios(self.ratios)
         if min(train, calib, test) <= 0:
             raise ValueError(f"ratios need positive train, calib and test shares, got {self.ratios}")
-        if self.n_splits < 1 or self.n_reps < 1:
-            raise ValueError("n_splits and n_reps must be >= 1")
-        if self.clique_n < 0:
-            raise ValueError(f"clique_n must be >= 0, got {self.clique_n}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.feature_mode not in ("random", "structural"):
             raise ValueError(f"feature_mode must be 'random' or 'structural', got {self.feature_mode!r}")
         self.sampler()  # the sampler's own checks, run before any trial trains a model

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer-argument rule shared across the package."""
+
+from numbers import Integral
+
+
+def check_int(value, name, low):
+    """``value``, once it is an integer (Python or NumPy, not bool) >= ``low``; else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
 
 
 class EdgeListParseError(ValueError):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, EdgeListParseError
+from .errors import CapacityError, EdgeListParseError, check_int
 from .powerlaw import hurwitz_zeta
 from .seeding import derive_rng
 
@@ -112,8 +112,7 @@ class Graph:
     """
 
     def __init__(self, num_nodes: int, edges=(), features: Optional[np.ndarray] = None):
-        if not isinstance(num_nodes, (int, np.integer)) or num_nodes < 1:
-            raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
+        check_int(num_nodes, "num_nodes", 1)
         pairs = _ordered_pairs(as_edge_rows(edges, 2))
         for bad, message in (
             (pairs[:, 0] == pairs[:, 1], "self-loop at edge"),
@@ -256,6 +255,7 @@ def load_features(text: str, num_nodes: int) -> np.ndarray:
     Nodes absent from the file get all-zero rows. A node listed twice
     raises EdgeListParseError at its second line, naming the first.
     """
+    check_int(num_nodes, "num_nodes", 1)
     out, first_line = None, {}
     for line_number, line in _content_lines(text):
         tokens = line.split()
@@ -291,6 +291,7 @@ def _write_text(path, text: str, what: str) -> None:
 
 def ensure_features(graph: Graph, dim: int, seed: int) -> Graph:
     """Attach seeded standard-normal features when the graph has none."""
+    check_int(dim, "dim", 1)
     if graph.features is not None:
         return graph
     rng = derive_rng(seed, "features")
@@ -306,8 +307,7 @@ def negative_sample(graph: Graph, count: int, seed: int):
     already accepted. Raises CapacityError when the graph has fewer than
     ``count`` non-edges, so the loop ends. Deterministic given the seed.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    check_int(count, "count", 0)
     n = graph.num_nodes
     capacity = n * (n - 1) // 2 - graph.num_edges
     if count > capacity:
@@ -414,12 +414,10 @@ def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
     Nodes are drawn without replacement within a clique and with
     replacement across cliques.
     """
-    if m < 2:
-        raise ValueError(f"clique size must be >= 2, got {m}")
+    check_int(m, "m", 2)
+    check_int(n, "n", 0)
     if m > graph.num_nodes:
         raise ValueError(f"clique size {m} exceeds num_nodes {graph.num_nodes}")
-    if n < 0:
-        raise ValueError(f"clique count must be >= 0, got {n}")
     if n == 0:
         return graph
     rng = derive_rng(seed, "cliques")
@@ -429,17 +427,12 @@ def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
     return graph.with_edges(np.concatenate([graph.edge_array(), cliques]))
 
 
-def _check_powerlaw_args(num_nodes: int, beta: float, d_min: int) -> None:
-    """The argument checks that both power-law generators share."""
-    if num_nodes < 10:
-        raise ValueError(f"num_nodes must be >= 10, got {num_nodes}")
+def _powerlaw_degree_sample(num_nodes: int, beta: float, d_min: int, rng) -> np.ndarray:
+    """Both power-law generators' degree targets, once their shared arguments are checked."""
+    check_int(num_nodes, "num_nodes", 10)
     if not 1.0 < beta < np.inf:
         raise ValueError(f"beta must be finite and exceed 1, got {beta}")
-    if d_min < 1:
-        raise ValueError(f"d_min must be >= 1, got {d_min}")
-
-
-def _powerlaw_degree_sample(num_nodes: int, beta: float, d_min: int, rng) -> np.ndarray:
+    check_int(d_min, "d_min", 1)
     support = np.arange(d_min, num_nodes, dtype=np.float64)
     pmf = support ** (-beta) / hurwitz_zeta(beta, float(d_min))
     cdf = np.cumsum(pmf)
@@ -456,7 +449,6 @@ def generate_powerlaw_graph(num_nodes: int, beta: float, d_min: int, seed: int) 
     parity-corrected, then wired by configuration-model stub pairing with
     self-loops and duplicate edges discarded.
     """
-    _check_powerlaw_args(num_nodes, beta, d_min)
     rng = derive_rng(seed, "powerlaw-graph")
     degrees = _powerlaw_degree_sample(num_nodes, beta, d_min, rng)
     if degrees.sum() % 2 == 1:
@@ -491,9 +483,9 @@ def generate_latent_powerlaw_graph(
     attributed graphs; edges added later between random nodes (injected
     cliques) ignore the geometry and stay feature-independent.
     """
-    _check_powerlaw_args(num_nodes, beta, d_min)
-    if homophily < 0:
-        raise ValueError(f"homophily must be >= 0, got {homophily}")
+    check_int(feature_dim, "feature_dim", 1)
+    if not 0 <= homophily < np.inf:
+        raise ValueError(f"homophily must be >= 0 and finite, got {homophily}")
     rng = derive_rng(seed, "latent-powerlaw-graph")
     degrees = _powerlaw_degree_sample(num_nodes, beta, d_min, rng)
     latent = rng.standard_normal((num_nodes, feature_dim))

@@ -19,8 +19,9 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ._nn import (check_counts, check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
+from ._nn import (check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
                   max_relative_gradient_error, momentum_step)
+from .errors import check_int
 from .graph import Graph, _check_endpoints, as_labeled_rows
 from .seeding import derive_rng
 
@@ -41,12 +42,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        check_counts(self, ("num_layers",) if self.scorer_hidden_dim is None else ("num_layers", "scorer_hidden_dim"))
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        check_int(self.num_layers, "num_layers", 1)
         check_training_settings(self)
-        if self.scorer_hidden_dim is not None and self.scorer_hidden_dim < 1:
-            raise ValueError(f"scorer_hidden_dim must be >= 1, got {self.scorer_hidden_dim}")
+        if self.scorer_hidden_dim is not None:
+            check_int(self.scorer_hidden_dim, "scorer_hidden_dim", 1)
 
     @property
     def scorer_hidden(self) -> int:
@@ -132,6 +131,7 @@ def structural_features(graph: Graph, dim: int, seed: int) -> np.ndarray:
     example injected cliques) are not. Useful for building semi-synthetic
     datasets whose features behave like a real dataset's.
     """
+    check_int(dim, "dim", 1)
     rng = derive_rng(seed, "structural-features")
     x = rng.standard_normal((graph.num_nodes, dim))
     a_hat = normalized_adjacency(graph, "mean-neighbor")

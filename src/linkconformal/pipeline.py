@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, config_echo
 from .conformal import conformalize, evaluate
-from .errors import DegenerateCalibrationError
+from .errors import DegenerateCalibrationError, check_int
 from .graph import (
     Graph,
     _write_text,
@@ -59,6 +59,10 @@ class TrialRecord:
     ks_after: Optional[float] = None
     density_after: Optional[float] = None
     error: Optional[str] = None
+
+    def __post_init__(self):
+        for name in ("split", "rep", "seed"):
+            check_int(getattr(self, name), name, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +178,18 @@ def _mean(values) -> Optional[float]:
     return float(np.mean(values)) if values else None
 
 
-def _graph_density(num_nodes: int, num_edges: int) -> float:
-    return num_edges / (num_nodes * (num_nodes - 1) / 2.0)
-
-
 class _TrialBase:
     """Shared per-trial state: split, subgraph, degree fit, and the trained model's embeddings.
 
     The degree fit and the test embeddings are made once; every arm reads them.
     """
 
-    def __init__(self, graph, positives, negatives, config: RunConfig, split_idx: int, rep_idx: int):
+    def __init__(self, graph, split, config: RunConfig, split_idx: int, rep_idx: int):
         self.config = config
+        self.split = split
         self.split_idx = split_idx
         self.rep_idx = rep_idx
         self.model_seed = derive_seed(config.seed, split_idx, rep_idx, "model")
-        split = split_edges(
-            positives, negatives, config.ratios, derive_seed(config.seed, split_idx, "split")
-        )
-        self.split = split
         self.subgraph = training_subgraph(graph, split)
         self.node_degrees = degree_sequence(self.subgraph)
         self.degree_fit = _degree_fit(self.node_degrees)
@@ -234,7 +231,7 @@ class _TrialBase:
             positives = fit_rows[fit_rows[:, 2] == 1, :2]
             num_nodes = self.subgraph.num_nodes
             ks_after = _fitted_ks(np.bincount(positives.ravel(), minlength=num_nodes))
-            density_after = _graph_density(num_nodes, len(positives))
+            density_after = len(positives) / (num_nodes * (num_nodes - 1) / 2.0)
             del train, val, positives  # the quantile fit holds only the fit rows, as in the plain arm
         for name, rows in (("calibration", calib), ("test", split.test)):
             if not len(rows):
@@ -296,7 +293,7 @@ def _build_summary(trials: Sequence[TrialRecord]) -> dict:
             / arms["cqr"]["mean_length"]
             * 100.0
         )
-    summary = {
+    return {
         "mean_coverage": headline.get("mean_coverage"),
         "std_coverage": headline.get("std_coverage"),
         "mean_length": headline.get("mean_length"),
@@ -304,7 +301,6 @@ def _build_summary(trials: Sequence[TrialRecord]) -> dict:
         "improvement_pct": improvement,
         "arms": arms,
     }
-    return summary
 
 
 def _trials(config: RunConfig, graph: Optional[Graph]):
@@ -314,8 +310,9 @@ def _trials(config: RunConfig, graph: Optional[Graph]):
     positives = graph.edge_array()
     negatives = negative_sample(graph, len(positives), derive_seed(config.seed, "negatives"))
     for split_idx in range(config.n_splits):
+        split = split_edges(positives, negatives, config.ratios, derive_seed(config.seed, split_idx, "split"))
         for rep_idx in range(config.n_reps):
-            yield _TrialBase(graph, positives, negatives, config, split_idx, rep_idx)
+            yield _TrialBase(graph, split, config, split_idx, rep_idx)
 
 
 def run_pipeline(config: RunConfig, graph: Optional[Graph] = None) -> ExperimentReport:
@@ -389,12 +386,14 @@ def sweep_cliques(
     """
     if not grid:
         raise ValueError("sweep_cliques needs a non-empty grid")
-    if n_variants < 1:
-        raise ValueError(f"n_variants must be >= 1, got {n_variants}")
+    check_int(n_variants, "n_variants", 1)
     base_graph = load_graph(replace(config, clique_m=0, clique_n=0), base_graph)
     for m, n in grid:
-        if n < 0 or (n > 0 and not 2 <= m <= base_graph.num_nodes):
-            raise ValueError(f"grid point (m={m}, n={n}) needs n >= 0, and 2 <= m <= num_nodes when n > 0")
+        point = f"grid point (m={m}, n={n})"
+        check_int(m, f"{point}: m", 0)
+        check_int(n, f"{point}: n", 0)
+        if n > 0 and not 2 <= m <= base_graph.num_nodes:
+            raise ValueError(f"{point} needs 2 <= m <= num_nodes when n > 0")
     graph_ks = functools.cache(lambda graph: _fitted_ks(degree_sequence(graph)))
 
     @functools.cache  # keyed by the injected (m, n), or None for the base graph

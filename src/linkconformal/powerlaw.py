@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int
+
 # Truncation point of the zeta series; the analytic tail below pushes the
 # absolute error far under 1e-10 for beta >= 1.05.
 _ZETA_TERMS = 10_000
@@ -44,12 +46,10 @@ class PowerLawFit:
     def __post_init__(self):
         if not self.beta_hat > 1.0:
             raise ValueError(f"beta_hat must exceed 1, got {self.beta_hat}")
-        if self.d_min < 1:
-            raise ValueError(f"d_min must be >= 1, got {self.d_min}")
+        check_int(self.d_min, "d_min", 1)
         if not 0.0 <= self.ks <= 1.0:
             raise ValueError(f"ks must lie in [0, 1], got {self.ks}")
-        if self.tail_size < 1:
-            raise ValueError(f"tail_size must be >= 1, got {self.tail_size}")
+        check_int(self.tail_size, "tail_size", 1)
 
 
 def hurwitz_zeta(beta: float, a):
@@ -128,6 +128,7 @@ def _direct_sums(beta: float, flat: np.ndarray) -> np.ndarray:
 
 def powerlaw_cdf(d, beta: float, d_min: int):
     """Model CDF Pr(D <= d | D >= d_min) = 1 - zeta(beta, d+1)/zeta(beta, d_min)."""
+    check_int(d_min, "d_min", 1)
     d_arr = np.asarray(d, dtype=np.float64)
     if np.any(d_arr < d_min):
         raise ValueError(f"degree below cutoff: CDF is defined for d >= {d_min}")
@@ -156,8 +157,7 @@ def estimate_beta(degrees, d_min: int) -> float:
         Estimated exponent (always > 1, since log(d/(d_min - 1/2)) > 0 on
         the tail).
     """
-    if d_min < 1:
-        raise ValueError(f"d_min must be >= 1, got {d_min}")
+    check_int(d_min, "d_min", 1)
     degrees = np.asarray(degrees, dtype=np.float64)
     tail = degrees[degrees >= d_min]
     if tail.size == 0:
@@ -172,6 +172,7 @@ def ks_statistic(degrees, beta: float, d_min: int) -> float:
     Both distributions are conditioned on d >= d_min; the maximum is taken
     over the distinct observed tail degrees.
     """
+    check_int(d_min, "d_min", 1)
     degrees = np.asarray(degrees)
     tail = degrees[degrees >= d_min]
     if tail.size == 0:
@@ -195,6 +196,7 @@ def adaptive_min_tail(num_degrees: int) -> int:
     describe it as a clean power-law tail, hiding the distortion. Keeping
     a tenth of the sequence in the tail pins the fit to the bulk.
     """
+    check_int(num_degrees, "num_degrees", 0)
     return max(10, num_degrees // 10)
 
 
@@ -208,9 +210,15 @@ def fit_power_law(degrees, min_tail: int = 10) -> PowerLawFit:
     reaches ``min_tail``, the smallest positive degree is used alone.
 
     Degree-0 nodes are excluded: the model is defined for d >= d_min >= 1.
+    A degree that is negative or not a whole number raises ValueError.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    degrees = degrees[degrees >= 1]
+    check_int(min_tail, "min_tail", 1)
+    degrees = np.ravel(degrees)
+    if degrees.dtype.kind not in "iu" or degrees.min(initial=0) < 0:
+        bad = np.flatnonzero(~(np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))))
+        if bad.size:
+            raise ValueError(f"degree {degrees[bad[0]]} at index {bad[0]} is not a non-negative whole number")
+    degrees = degrees[degrees >= 1].astype(np.int64, copy=False)
     if degrees.size == 0:
         raise ValueError("degree sequence has no positive entries")
     uniq, counts = np.unique(degrees, return_counts=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCalibrationError
+from .errors import DegenerateCalibrationError, check_int
 from .graph import _check_endpoints, as_edge_rows, as_labeled_rows, row_keys
 from .powerlaw import PowerLawFit
 from .seeding import derive_rng, derive_seed, edge_uniforms
@@ -51,6 +51,7 @@ class SamplerConfig:
             raise ValueError(f"agg must be one of {AGGREGATIONS}, got {self.agg!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_int(self.seed, "seed", 0)
 
 
 def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.ndarray:
@@ -58,14 +59,14 @@ def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.nd
 
     Draws ``count`` values by inverse-CDF sampling, x = x_m * (1 - u)^(-1/beta_hat)
     for u uniform in [0, 1), and discretizes each to max(1, round(x)) with
-    round-half-up.
+    round-half-up. Its survival function is (x_m / x)^beta_hat: the survival
+    exponent is beta_hat and the pdf exponent beta_hat + 1, so a power-law
+    fit of the sequence finds about beta_hat + 1, not beta_hat.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if x_m <= 0:
-        raise ValueError(f"x_m must be positive, got {x_m}")
-    if beta_hat <= 0:
-        raise ValueError(f"beta_hat must be positive, got {beta_hat}")
+    check_int(count, "count", 1)
+    for name, value in (("x_m", x_m), ("beta_hat", beta_hat)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     x = x_m * (1.0 - derive_rng(seed, "pareto").random(count)) ** (-1.0 / beta_hat)
     return np.maximum(1, np.floor(x + 0.5)).astype(np.int64)
 

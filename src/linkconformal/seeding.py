@@ -12,28 +12,26 @@ import zlib
 
 import numpy as np
 
+from .errors import check_int
+
 _U64 = np.uint64
 
 
-def _path_item(item) -> int:
-    if isinstance(item, str):
-        return zlib.crc32(item.encode("utf-8"))
-    value = int(item)
-    if value < 0:
-        raise ValueError(f"seed path items must be non-negative, got {value}")
-    return value
+def _seed_sequence(master_seed, path) -> np.random.SeedSequence:
+    """The SeedSequence of (master_seed, path), with ``master_seed`` checked as the caller's ``seed``."""
+    spawn_key = tuple(zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else check_int(p, "seed path item", 0)
+                      for p in path)
+    return np.random.SeedSequence(check_int(master_seed, "seed", 0), spawn_key=spawn_key)
 
 
 def derive_rng(master_seed: int, *path) -> np.random.Generator:
     """Return a Generator for (master_seed, path); strings are tag names."""
-    spawn_key = tuple(_path_item(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
+    return np.random.default_rng(_seed_sequence(master_seed, path))
 
 
 def derive_seed(master_seed: int, *path) -> int:
     """Collapse (master_seed, path) to a single 63-bit integer seed."""
-    spawn_key = tuple(_path_item(p) for p in path)
-    state = np.random.SeedSequence(master_seed, spawn_key=spawn_key).generate_state(2)
+    state = _seed_sequence(master_seed, path).generate_state(2)
     return int((_U64(state[0]) << _U64(31)) ^ _U64(state[1])) & (2**63 - 1)
 
 

@@ -52,7 +52,7 @@ class TestGraphType:
             Graph(3, frozenset({(-1, 2)}))
 
     def test_rejects_non_integer_num_nodes(self):
-        with pytest.raises(ValueError, match=r"^num_nodes must be a positive integer, got 3\.0$"):
+        with pytest.raises(ValueError, match=r"^num_nodes must be an integer, got 3\.0$"):
             Graph(3.0, [(0, 1), (1, 2)])
         assert Graph(np.int64(3), [(0, 1), (1, 2)]).edge_array().tolist() == [[0, 1], [1, 2]]
 

@@ -275,7 +275,10 @@ class TestSweepCliques:
         assert row.mean_length is None and row.mean_coverage is None
         assert row.mean_ks is not None
 
-    @pytest.mark.parametrize("grid", [[(8, -3), (8, 0)], [(8, 0), (1, 2)], [(8, 0), (301, 1)]])
+    # The last three once passed the range check and failed inside clique
+    # injection, after the points ahead of them had trained.
+    @pytest.mark.parametrize("grid", [[(8, -3), (8, 0)], [(8, 0), (1, 2)], [(8, 0), (301, 1)],
+                                      [(2.5, 3)], [(8, 0), (8, 1.5)], [(8, 0), (8, True)]])
     def test_bad_grid_rejected_before_training(self, grid, link_trainings):
         with pytest.raises(ValueError, match="grid point"):
             sweep_cliques(tiny_config(run_sampled_arm=False), grid, n_variants=1)
@@ -413,8 +416,8 @@ class TestConfig:
     @pytest.mark.parametrize("section, name", [
         *(("model", name) for name in ("hidden_dim", "batch_size", "epochs", "num_layers", "scorer_hidden_dim")),
         *(("quantile", name) for name in ("hidden_dim", "batch_size", "epochs")),
-        *((None, name) for name in ("n_splits", "n_reps", "feature_dim", "clique_m", "clique_n", "synth_nodes",
-                                    "synth_d_min")),
+        *((None, name) for name in ("seed", "n_splits", "n_reps", "feature_dim", "clique_m", "clique_n",
+                                    "synth_nodes", "synth_d_min")),
     ])
     def test_count_setting_must_be_an_integer(self, section, name, value):
         # A whole float or a bool passes every range check, and a fraction fails

@@ -256,6 +256,18 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([0, 0, 0])
 
+    @pytest.mark.parametrize("degrees, bad, index", [
+        ([1, 2, 2.5], "2.5", 2), ([3, -1, 2], "-1", 1), ([1.0, np.nan], "nan", 1), ([2.0, np.inf], "inf", 1),
+    ])
+    def test_rejects_negative_or_fractional_degrees(self, degrees, bad, index):
+        # Before, 2.5 was cut to 2 and a negative degree dropped like a zero.
+        with pytest.raises(ValueError, match=f"^degree {bad} at index {index} is not a non-negative whole number$"):
+            fit_power_law(degrees)
+
+    def test_whole_float_degrees_fit_as_integers(self):
+        degs = discrete_powerlaw_sample(2.2, 1, 2000, seed=9)
+        assert fit_power_law(degs.astype(np.float64)) == fit_power_law(degs)
+
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
             PowerLawFit(beta_hat=0.9, d_min=1, ks=0.1, tail_size=5)

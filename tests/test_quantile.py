@@ -231,6 +231,14 @@ class TestGradientCheck:
         with pytest.raises(ValueError):
             quantile_gradient_check(model, np.ones((2, 4)), [0.0, 1.0], step=-1.0)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, step):
+        # A NaN step once made every finite difference NaN, and the check
+        # returned 0.0, a pass.
+        model = TestPredictQuantiles.zero_model()
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+            quantile_gradient_check(model, np.ones((2, 4)), [0.0, 1.0], step=step)
+
 
 class TestModelIO:
     def test_level_validation(self):

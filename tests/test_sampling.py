@@ -14,6 +14,7 @@ from linkconformal.sampling import (
     pareto_sequence,
     sample_edges,
 )
+from linkconformal.pipeline import _degree_fit
 from linkconformal.seeding import derive_rng, derive_seed, edge_uniforms
 
 from test_graph import row_set
@@ -50,6 +51,22 @@ class TestParetoSequence:
             pareto_sequence(-1.0, 2.5, 10, seed=0)
         with pytest.raises(ValueError):
             pareto_sequence(1.0, 0.0, 10, seed=0)
+
+    @pytest.mark.parametrize("x_m, beta_hat", [(np.nan, 2.5), (np.inf, 2.5), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, x_m, beta_hat):
+        # A NaN shape once passed "beta_hat <= 0" and warned inside the integer cast.
+        name, value = ("x_m", x_m) if not np.isfinite(x_m) else ("beta_hat", beta_hat)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            pareto_sequence(x_m, beta_hat, 3, seed=0)
+
+    @pytest.mark.parametrize("x_m, beta_hat", [(2.0, 1.86), (5.0, 1.5)])
+    def test_refit_finds_the_pdf_exponent(self, x_m, beta_hat):
+        # x = x_m (1 - u)^(-1/beta_hat) has survival function (x_m / x)^beta_hat:
+        # survival exponent beta_hat, pdf exponent beta_hat + 1. The pipeline's
+        # fit reads the pdf exponent, so a large draw refits near beta_hat + 1,
+        # not near beta_hat (ROADMAP item 13).
+        refit = _degree_fit(pareto_sequence(x_m, beta_hat, 20_000, seed=0)).beta_hat
+        assert abs(refit - (beta_hat + 1.0)) < 0.15
 
 
 class TestEcdf:
