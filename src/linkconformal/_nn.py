@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_real
 
 # Gradients smaller than this are treated as zero-scale in relative-error
 # comparisons, so degenerate (flat) points do not inflate the check.
@@ -15,10 +15,8 @@ def check_training_settings(config) -> None:
     """The type and range checks that ModelConfig and QuantileConfig share."""
     for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0)):
         check_int(getattr(config, name), name, low)
-    if not 0 <= config.learning_rate < np.inf:
-        raise ValueError(f"learning_rate must be >= 0 and finite, got {config.learning_rate}")
-    if not 0.0 <= config.momentum < 1.0:
-        raise ValueError(f"momentum must lie in [0, 1), got {config.momentum}")
+    check_real(config.learning_rate, "learning_rate", 0, np.inf, "[)")
+    check_real(config.momentum, "momentum", 0, 1, "[)")
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -93,8 +91,7 @@ def max_relative_gradient_error(arrays, loss_and_grads, step: float, n_coords: i
     up to ``n_coords`` randomly chosen coordinates one at a time and returns
     the largest |g_analytic - g_numeric| / max(|g_analytic|, |g_numeric|, floor).
     """
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    check_real(step, "step", 0, np.inf)
     check_int(n_coords, "n_coords", 1)
     flat, arrays = flat_views(arrays)
     analytic = np.concatenate([np.ravel(g) for g in loss_and_grads(arrays, True)[1]])

@@ -7,10 +7,11 @@ override the built-in defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
-from .errors import check_int
+from .errors import check_int, check_real
 from .graph import _checked_ratios, _content_lines
 from .model import ModelConfig
 from .quantile import QuantileConfig
@@ -44,8 +45,8 @@ class RunConfig:
         for name, low in (("seed", 0), ("n_splits", 1), ("n_reps", 1), ("feature_dim", 1), ("clique_m", 0),
                           ("clique_n", 0), ("synth_nodes", 10), ("synth_d_min", 1)):
             check_int(getattr(self, name), name, low)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_real(self.alpha, "alpha", 0, 1)
+        check_real(self.synth_beta, "synth_beta", 1, math.inf)
         train, _, calib, test = _checked_ratios(self.ratios)
         if min(train, calib, test) <= 0:
             raise ValueError(f"ratios need positive train, calib and test shares, got {self.ratios}")

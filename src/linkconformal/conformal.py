@@ -17,6 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import check_real
+
 # Absolute slack when ceiling (K+1)(1-alpha); guards against float
 # representation error at exact integer boundaries (e.g. 10 * 0.9).
 _CEIL_EPS = 1e-9
@@ -62,8 +64,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("calibration scores must be non-empty")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_real(alpha, "alpha", 0, 1)
     _check_not_nan(scores, "calibration score")
     k = math.ceil((scores.size + 1) * (1.0 - alpha) - _CEIL_EPS)
     k = max(k, 1)
@@ -82,8 +83,7 @@ def prediction_interval(lower, upper, q_hat: float) -> np.recarray:
     lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
     upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
     _check_ordered(lower, upper, "band")
-    if math.isnan(q_hat):
-        raise ValueError("q_hat is NaN")
+    check_real(q_hat, "q_hat", -math.inf, math.inf, "[]")
     lo, hi = lower - q_hat, upper + q_hat
     empty = lo > hi
     mid = (lower[empty] + upper[empty]) / 2.0

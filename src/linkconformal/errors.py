@@ -1,6 +1,6 @@
-"""Exception types and the integer-argument rule shared across the package."""
+"""Exception types and the two argument rules shared across the package: ``check_int`` and ``check_real``."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def check_int(value, name, low):
@@ -9,6 +9,15 @@ def check_int(value, name, low):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def check_real(value, name, low, high, ends="()"):
+    """``value``, once a real number (not bool) in ``low``..``high``, with ``ends`` as brackets; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not ((low <= value if ends[0] == "[" else low < value) and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
     return value
 
 

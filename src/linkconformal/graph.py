@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, EdgeListParseError, check_int
+from .errors import CapacityError, EdgeListParseError, check_int, check_real
 from .powerlaw import hurwitz_zeta
 from .seeding import derive_rng
 
@@ -359,11 +359,9 @@ def _quota_sizes(n: int, ratios) -> list:
 
 def _checked_ratios(ratios) -> tuple:
     """Four split ratios (train, val, calib, test) as floats, non-negative and summing to 1."""
-    ratios = tuple(float(r) for r in ratios)
+    ratios = tuple(float(check_real(r, "ratios", 0, np.inf, "[)")) for r in ratios)
     if len(ratios) != 4:
         raise ValueError(f"expected 4 ratios, got {len(ratios)}")
-    if not all(r >= 0 for r in ratios):
-        raise ValueError(f"ratios must be non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got sum={sum(ratios)!r}")
     return ratios
@@ -430,8 +428,7 @@ def inject_cliques(graph: Graph, m: int, n: int, seed: int) -> Graph:
 def _powerlaw_degree_sample(num_nodes: int, beta: float, d_min: int, rng) -> np.ndarray:
     """Both power-law generators' degree targets, once their shared arguments are checked."""
     check_int(num_nodes, "num_nodes", 10)
-    if not 1.0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and exceed 1, got {beta}")
+    check_real(beta, "beta", 1, np.inf)
     check_int(d_min, "d_min", 1)
     support = np.arange(d_min, num_nodes, dtype=np.float64)
     pmf = support ** (-beta) / hurwitz_zeta(beta, float(d_min))
@@ -484,8 +481,7 @@ def generate_latent_powerlaw_graph(
     cliques) ignore the geometry and stay feature-independent.
     """
     check_int(feature_dim, "feature_dim", 1)
-    if not 0 <= homophily < np.inf:
-        raise ValueError(f"homophily must be >= 0 and finite, got {homophily}")
+    check_real(homophily, "homophily", 0, np.inf, "[)")
     rng = derive_rng(seed, "latent-powerlaw-graph")
     degrees = _powerlaw_degree_sample(num_nodes, beta, d_min, rng)
     latent = rng.standard_normal((num_nodes, feature_dim))

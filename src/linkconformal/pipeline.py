@@ -61,6 +61,8 @@ class TrialRecord:
     error: Optional[str] = None
 
     def __post_init__(self):
+        if self.arm not in ("cqr", "sampled"):
+            raise ValueError(f"arm must be 'cqr' or 'sampled', got {self.arm!r}")
         for name in ("split", "rep", "seed"):
             check_int(getattr(self, name), name, 0)
 

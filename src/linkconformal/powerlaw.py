@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_real
 
 # Truncation point of the zeta series; the analytic tail below pushes the
 # absolute error far under 1e-10 for beta >= 1.05.
@@ -44,11 +44,9 @@ class PowerLawFit:
     tail_size: int
 
     def __post_init__(self):
-        if not self.beta_hat > 1.0:
-            raise ValueError(f"beta_hat must exceed 1, got {self.beta_hat}")
+        check_real(self.beta_hat, "beta_hat", 1, np.inf)
         check_int(self.d_min, "d_min", 1)
-        if not 0.0 <= self.ks <= 1.0:
-            raise ValueError(f"ks must lie in [0, 1], got {self.ks}")
+        check_real(self.ks, "ks", 0, 1, "[]")
         check_int(self.tail_size, "tail_size", 1)
 
 
@@ -75,8 +73,7 @@ def hurwitz_zeta(beta: float, a):
     Whole-number offsets close together share their terms (``_direct_sums``);
     no offset's value depends on which other offsets share the call.
     """
-    if not 1.0 < beta < np.inf:
-        raise ValueError(f"hurwitz zeta needs a finite beta > 1, got beta={beta}")
+    check_real(beta, "beta", 1, np.inf)
     a_arr = np.asarray(a, dtype=np.float64)
     if not np.all(a_arr > 0.0):
         raise ValueError("offset a must be positive")

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._nn import (check_training_settings, dense_backward, dense_forward, flat_views, init_weight,
                   max_relative_gradient_error, momentum_step)
+from .errors import check_real
 from .graph import _check_endpoints, _finite_rows, as_edge_rows
 from .model import _edge_product
 from .seeding import derive_rng
@@ -50,8 +51,8 @@ class QuantileModel:
     levels: Tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.levels
-        if not (0.0 < lo < hi < 1.0):
+        lo, hi = (check_real(level, "levels", 0, 1) for level in self.levels)
+        if not lo < hi:
             raise ValueError(f"levels must satisfy 0 < lower < upper < 1, got {self.levels}")
         for arr in self.param_arrays():
             if not np.all(np.isfinite(arr)):
@@ -76,8 +77,7 @@ class QuantileModel:
 
 def pinball_loss(prediction, target, gamma: float):
     """Quantile loss: gamma*(t - p) when t >= p, else (1 - gamma)*(p - t)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    check_real(gamma, "gamma", 0, 1)
     prediction = np.asarray(prediction, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     diff = target - prediction
@@ -148,8 +148,7 @@ def fit_quantile_functions(
     label raises ValueError naming its row, and an endpoint outside
     [0, len(embeddings)) raises IndexError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_real(alpha, "alpha", 0, 1)
     config = config or QuantileConfig()
     # Contiguous, like the endpoint columns below: np.take copies a strided source whole per call.
     z = np.ascontiguousarray(np.atleast_2d(embeddings), dtype=np.float64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCalibrationError, check_int
+from .errors import DegenerateCalibrationError, check_int, check_real
 from .graph import _check_endpoints, as_edge_rows, as_labeled_rows, row_keys
 from .powerlaw import PowerLawFit
 from .seeding import derive_rng, derive_seed, edge_uniforms
@@ -45,8 +45,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        check_real(self.lam, "lambda", 0, np.inf, "[)")
         if self.agg not in AGGREGATIONS:
             raise ValueError(f"agg must be one of {AGGREGATIONS}, got {self.agg!r}")
         if self.mode not in MODES:
@@ -64,9 +63,8 @@ def pareto_sequence(x_m: float, beta_hat: float, count: int, seed: int) -> np.nd
     fit of the sequence finds about beta_hat + 1, not beta_hat.
     """
     check_int(count, "count", 1)
-    for name, value in (("x_m", x_m), ("beta_hat", beta_hat)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_real(x_m, "x_m", 0, np.inf)
+    check_real(beta_hat, "beta_hat", 0, np.inf)
     x = x_m * (1.0 - derive_rng(seed, "pareto").random(count)) ** (-1.0 / beta_hat)
     return np.maximum(1, np.floor(x + 0.5)).astype(np.int64)
 

@@ -187,7 +187,7 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys):
 
 
 def test_negative_lambda_is_one_error_line(capsys):
-    _fails_with(capsys, ["run", "--lambda", "-1"], re.escape("lambda must be finite and >= 0, got -1.0"))
+    _fails_with(capsys, ["run", "--lambda", "-1"], re.escape("lambda must lie in [0, inf), got -1.0"))
 
 
 def test_unreadable_edge_list_is_one_error_line(tmp_path, capsys):

@@ -181,7 +181,8 @@ class TestPredictionInterval:
             prediction_interval([0.0, 0.4, 1.0], [1.0, 0.6, 0.0], 0.1)
 
     @pytest.mark.parametrize("lower, upper, q_hat, message", [
-        ([0.0], [1.0], math.nan, "q_hat is NaN"),
+        pytest.param([0.0], [1.0], math.nan, "q_hat must lie in [-inf, inf], got nan",
+                     id="lower0-upper0-nan-q_hat is NaN"),
         ([0.0, 0.0], [1.0, math.nan], 0.1, "NaN in band [0.0, nan] at row 1"),
     ])
     def test_nan_rejected(self, lower, upper, q_hat, message):

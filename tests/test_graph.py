@@ -471,7 +471,7 @@ class TestGeneratePowerlawGraph:
     ], ids=["plain", "latent"])
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_non_finite_beta_rejected(self, generate, beta):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \(1, inf\), got {beta}$"):
             generate(beta)
 
 

@@ -5,10 +5,12 @@ of its set-up time, and SciPy's special-function, dense linear-algebra and
 statistics modules would each add to both. The package needs only
 ``scipy.sparse``.
 
-No linter runs on the package, so two scans stand in for one: an
+No linter runs on the package, so three scans stand in for one: an
 unused-import scan, so that a helper deleted from its last caller leaves no
-stale import behind, and an unread-private-name scan, so that a caller
-deleted last leaves no dead helper behind.
+stale import behind; an unread-private-name scan, so that a caller deleted
+last leaves no dead helper behind; and a range-message scan, so that no
+module but ``errors.py`` words its own check of an argument's range, and
+``errors.check_int`` and ``errors.check_real`` stay the only such checks.
 """
 
 import ast
@@ -90,3 +92,22 @@ def unread_private_names(package):
 
 def test_every_private_name_is_read_by_the_package():
     assert unread_private_names(PACKAGE) == []
+
+
+# Wordings of a hand-written check of a scalar argument's range, old ones included.
+RANGE_WORDINGS = ("must lie in", "must be >=", "and finite", "finite and", "needs a finite", "must exceed",
+                  "positive and finite")
+
+
+def range_messages(path):
+    """(line, text) of each string of the module at ``path``, docstrings aside, that words a scalar range check."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+                  and any(wording in node.value for wording in RANGE_WORDINGS))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "errors.py"))
+def test_only_errors_words_a_range_check(module):
+    assert range_messages(PACKAGE / module) == []

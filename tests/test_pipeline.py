@@ -207,6 +207,12 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             base.arm(arm, lam)
 
+    @pytest.mark.parametrize("arm", ["CQR", "plain", "bogus"])
+    def test_record_of_unknown_arm_rejected(self, arm):
+        # The summary groups records by arm; an unknown one was once dropped from it without a word.
+        with pytest.raises(ValueError, match=f"^arm must be 'cqr' or 'sampled', got '{arm}'$"):
+            TrialRecord(arm=arm, split=0, rep=0, seed=0)
+
 
 class TestSweepLambda:
     def test_single_lambda_matches_run_pipeline(self):
@@ -400,16 +406,16 @@ class TestConfig:
         # NaN passes a test of "< 0"; both values once built configs that
         # failed only inside training.
         for config in (ModelConfig, QuantileConfig):
-            with pytest.raises(ValueError, match="^learning_rate must be >= 0 and finite"):
+            with pytest.raises(ValueError, match=rf"^learning_rate must lie in \[0, inf\), got {value}$"):
                 config(learning_rate=value)
         for key in ("model_learning_rate", "quantile_learning_rate"):
-            with pytest.raises(ValueError, match="learning_rate must be >= 0 and finite"):
+            with pytest.raises(ValueError, match=rf"^learning_rate must lie in \[0, inf\), got {value}$"):
                 build_run_config(parse_config_text(f"{key} = {value}\n"))
 
     @pytest.mark.parametrize("text", ["nan,0.1,0.2,0.2", "0.5,0.1,0.2,nan"])
     def test_nan_ratio_rejected(self, text):
         # Each comparison with NaN is False, so NaN once passed both ratio checks.
-        with pytest.raises(ValueError, match="^ratios must be non-negative numbers"):
+        with pytest.raises(ValueError, match=r"^ratios must lie in \[0, inf\), got nan$"):
             build_run_config({"ratios": text})
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["fraction", "whole-float", "bool"])

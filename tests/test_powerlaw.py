@@ -74,7 +74,7 @@ class TestHurwitzZeta:
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_non_finite_beta_rejected(self, beta):
-        with pytest.raises(ValueError, match="finite beta"):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \(1, inf\), got {beta}$"):
             hurwitz_zeta(beta, 1.0)
 
     def test_nan_offset_rejected(self):

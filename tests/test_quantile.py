@@ -236,7 +236,7 @@ class TestGradientCheck:
         # A NaN step once made every finite difference NaN, and the check
         # returned 0.0, a pass.
         model = TestPredictQuantiles.zero_model()
-        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+        with pytest.raises(ValueError, match=rf"^step must lie in \(0, inf\), got {step}$"):
             quantile_gradient_check(model, np.ones((2, 4)), [0.0, 1.0], step=step)
 
 
